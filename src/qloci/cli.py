@@ -288,7 +288,7 @@ def _check_pipe(quiver, orbit):
             v, quiver.d_y, quiver.d_x, forced=layout.p_star
         )
         if sorted(dreams) != sorted(oracle):
-            return "fail: closure and subset enumerations differ"
+            return "fail: walk and subset enumerations differ"
     except CapacityError:
         note = " (subset oracle skipped: capacity)"
     return "pass" + note

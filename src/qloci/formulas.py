@@ -6,8 +6,14 @@ component route multiplies one small polynomial per arrow of a minimal
 two full-grid polynomials.  All three agree, and the test suite checks
 the agreements rather than assuming them.
 
+Every dream sum here, the pipe route and each Schubert or Grothendieck
+factor alike, is one call to `pipedreams.dream_sum`: a memoized
+recursion over (reading position, 0-Hecke prefix) states that multiplies
+in a cell's weight when the cell is crossed, so no dream is listed.
+
 Weights: a crossing in cell (r, c) contributes (row label - column
-label) in cohomology and (1 - row/column) in K-theory.
+label) in cohomology and (1 - row/column) in K-theory; in K-theory each
+crossing beyond the length also flips the sign.
 """
 
 from __future__ import annotations
@@ -16,7 +22,8 @@ import math
 
 from .lacing import crossings, enum_KW, enum_W
 from .perms import PartialPermutation, Perm
-from .pipedreams import CapacityError, enum_pipes, enum_rpipes
+# perfbench's tracer tests rebind formulas.enum_rpipes, so the name stays
+from .pipedreams import CapacityError, dream_sum, enum_rpipes  # noqa: F401
 from .poly import LaurentPoly, cross_weight, s_var, t_var
 from .quiver import block_layout, codim, v_star, zelevinsky
 
@@ -43,10 +50,12 @@ def _grid_of(w):
     return max(m - 1, 0), max(m - 1, 0)
 
 
-def _dream_weight(P, row_vars, col_vars, mode):
-    return LaurentPoly.prod(
-        cross_weight(row_vars[r - 1], col_vars[c - 1], mode)
-        for r, c in sorted(P.crosses)
+def _factor(w, row_vars, col_vars, mode):
+    rows, cols = _grid_of(w)
+    return dream_sum(
+        w, rows, cols,
+        lambda r, c: cross_weight(row_vars[r - 1], col_vars[c - 1], mode),
+        ktheory=mode == "ktheory",
     )
 
 
@@ -62,11 +71,7 @@ def schubert(w, row_vars, col_vars):
     >>> schubert(Perm.identity(), [], []) == LaurentPoly.one()
     True
     """
-    rows, cols = _grid_of(w)
-    return LaurentPoly.sum(
-        _dream_weight(P, row_vars, col_vars, "cohomology")
-        for P in enum_rpipes(w, rows, cols)
-    )
+    return _factor(w, row_vars, col_vars, "cohomology")
 
 
 def grothendieck(w, row_vars, col_vars):
@@ -76,13 +81,7 @@ def grothendieck(w, row_vars, col_vars):
     >>> g == cross_weight(t_var(0, 1), s_var(1, 1), "ktheory")
     True
     """
-    rows, cols = _grid_of(w)
-    base = (w.complete() if isinstance(w, PartialPermutation) else w).length()
-    parts = []
-    for P in enum_pipes(w, rows, cols):
-        sign = -1 if (len(P) - base) % 2 else 1
-        parts.append(sign * _dream_weight(P, row_vars, col_vars, "ktheory"))
-    return LaurentPoly.sum(parts)
+    return _factor(w, row_vars, col_vars, "ktheory")
 
 
 def t_alphabet(quiver, k):
@@ -127,40 +126,24 @@ def grothendieck_lacing(quiver, w):
 # --- the three routes --------------------------------------------------
 
 
+def _pipe_sum(quiver, orbit, mode):
+    layout = block_layout(quiver)
+    return dream_sum(
+        zelevinsky(quiver, orbit), quiver.d_y, quiver.d_x,
+        lambda r, c: cross_weight(layout.row_var(r), layout.col_var(c), mode),
+        ktheory=mode == "ktheory",
+        forced=layout.p_star,
+    )
+
+
 def multidegree_pipe(quiver, orbit):
     """Sum of cohomology weights over the orbit's reduced dreams."""
-    layout = block_layout(quiver)
-    dreams = enum_rpipes(
-        zelevinsky(quiver, orbit), quiver.d_y, quiver.d_x, forced=layout.p_star
-    )
-    return LaurentPoly.sum(
-        LaurentPoly.prod(
-            cross_weight(layout.row_var(r), layout.col_var(c), "cohomology")
-            for r, c in sorted(P.crosses - layout.p_star)
-        )
-        for P in dreams
-    )
+    return _pipe_sum(quiver, orbit, "cohomology")
 
 
 def kpoly_pipe(quiver, orbit):
     """Signed sum of K-theory weights over all of the orbit's dreams."""
-    layout = block_layout(quiver)
-    cd = codim(quiver, orbit)
-    dreams = enum_pipes(
-        zelevinsky(quiver, orbit), quiver.d_y, quiver.d_x, forced=layout.p_star
-    )
-    parts = []
-    for P in dreams:
-        extra = P.crosses - layout.p_star
-        sign = -1 if (len(extra) - cd) % 2 else 1
-        parts.append(
-            sign
-            * LaurentPoly.prod(
-                cross_weight(layout.row_var(r), layout.col_var(c), "ktheory")
-                for r, c in sorted(extra)
-            )
-        )
-    return LaurentPoly.sum(parts)
+    return _pipe_sum(quiver, orbit, "ktheory")
 
 
 def multidegree_component(quiver, orbit):

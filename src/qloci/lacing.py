@@ -18,7 +18,7 @@ import itertools
 import logging
 
 from .perms import PartialPermutation, Perm, all_partial_perms
-from .pipedreams import PipeDream, enum_rpipes
+from .pipedreams import PipeDream, iter_dreams
 from .quiver import BipartiteQuiver, OrbitError, block_layout, orbit_from_lacing, zelevinsky
 
 log = logging.getLogger(__name__)
@@ -345,15 +345,16 @@ def _closure(quiver, seeds, ktheory):
 def enum_W(quiver, orbit):
     """Minimal diagrams of the orbit, as a reduced-move closure.
 
-    The seed is the diagram of one reduced northwest dream for v(orbit);
-    enum_W_by_filter recomputes the set without moves.
+    The seed is the diagram of the first reduced northwest dream for
+    v(orbit) that the pipe-dream walk reaches; enum_W_by_filter
+    recomputes the set without moves.
     """
     v_om = zelevinsky(quiver, orbit)
     layout = block_layout(quiver)
-    dreams = enum_rpipes(v_om, quiver.d_y, quiver.d_x, forced=layout.p_star)
-    if not dreams:
+    dream = next(iter_dreams(v_om, quiver.d_y, quiver.d_x, forced=layout.p_star), None)
+    if dream is None:
         raise OrbitError("no reduced northwest dream reaches the orbit permutation")
-    seed = pipes_to_laces(quiver, dreams[0])
+    seed = pipes_to_laces(quiver, dream)
     return _closure(quiver, {seed}, ktheory=False)
 
 

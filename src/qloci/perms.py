@@ -17,6 +17,7 @@ the north wall in column delta(P)(i) (see the pipedreams tests).
 from __future__ import annotations
 
 import itertools
+from operator import le
 from typing import Iterable, Iterator, Sequence
 
 __all__ = ["Perm", "PartialPermutation", "all_partial_perms", "all_perms"]
@@ -27,6 +28,25 @@ def _trimmed(seq: Sequence[int]) -> tuple[int, ...]:
     while entries and entries[-1] == len(entries):
         entries.pop()
     return tuple(entries)
+
+
+def prefix_ceilings(line: Sequence[int]) -> list[list[int]]:
+    """Rows of the Bruhat tableau of a one-line window: its first j entries, sorted."""
+    return [sorted(line[:j]) for j in range(len(line) + 1)]
+
+
+def row_leq(line: Sequence[int], j: int, ceilings: list[list[int]]) -> bool:
+    """Row j of the tableau criterion (Bjorner-Brenti, Thm 2.1.5).
+
+    u <= w in Bruhat order iff, for every j, the first j entries of u
+    sorted are entrywise at most those of w; `ceilings` holds w's rows.
+    Swapping the entries at positions j and j+1 changes row j alone, so
+    a search that steps by such swaps re-checks one row per step.
+
+    >>> row_leq((2, 1, 3), 1, prefix_ceilings((1, 3, 2)))
+    False
+    """
+    return all(map(le, sorted(line[:j]), ceilings[j]))
 
 
 class Perm:
@@ -187,14 +207,8 @@ class Perm:
     def bruhat_leq(self, other: "Perm") -> bool:
         """Strong Bruhat order via the dominance criterion on rank tables."""
         m = max(self.size, other.size)
-        u, v = self.one_line(m), other.one_line(m)
-        for i in range(1, m):
-            cu = sorted(u[:i], reverse=True)
-            cv = sorted(v[:i], reverse=True)
-            # cu[a] <= cv[a] for all a <=> every NE rank count of u bounds v's
-            if any(x > y for x, y in zip(cu, cv)):
-                return False
-        return True
+        u, ceilings = self.one_line(m), prefix_ceilings(other.one_line(m))
+        return all(row_leq(u, i, ceilings) for i in range(1, m))
 
     def nw_partial(self, rows: int, cols: int) -> "PartialPermutation":
         """Truncation to the northwest rows x cols corner of the matrix."""

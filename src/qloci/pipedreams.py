@@ -16,7 +16,8 @@ import os
 
 import numpy as np
 
-from .perms import PartialPermutation, Perm
+from .perms import PartialPermutation, Perm, prefix_ceilings, row_leq
+from .poly import LaurentPoly
 
 DEFAULT_CAPACITY = 26
 CAPACITY_ENV = "QLOCI_CAPACITY_CELLS"
@@ -78,9 +79,6 @@ class PipeDream:
 
     def __repr__(self):
         return "PipeDream(%d, %d, %s)" % (self.rows, self.cols, sorted(self.crosses))
-
-    def with_cross(self, cell):
-        return PipeDream(self.rows, self.cols, self.crosses | {cell})
 
     def rotated(self):
         """The grid turned half a revolution.
@@ -242,6 +240,76 @@ def _reading_cells(rows, cols, cells, forced, target):
     return usable
 
 
+class _Walk:
+    """The reading-order search behind every enumeration and every sum.
+
+    A state (i, line) is a position in the reading order of the usable
+    cells and the one-line window, on 1..rows+cols, of the 0-Hecke
+    product of the crosses read before it.  Crossing cell i with letter
+    j is an ascent when line[j-1] < line[j] and swaps the two entries;
+    that changes only row j of the Bruhat tableau, so one row is checked
+    against the target's.  A non-ascent cross keeps the line and is
+    allowed in K-theory only.  A state is dead when the length still
+    missing exceeds the cells left.
+    """
+
+    __slots__ = ("order", "letters", "optional", "goal", "ceilings", "start", "ktheory")
+
+    def __init__(self, v, rows, cols, cells, forced, ktheory):
+        target = _target_of(v)
+        forced = frozenset(forced)
+        self.order = _reading_cells(rows, cols, cells, forced, target)
+        self.letters = [r + c - 1 for r, c in self.order]
+        self.optional = [cell not in forced for cell in self.order]
+        self.goal = target.length()
+        m = rows + cols
+        live = target.size <= m and forced <= set(self.order)
+        self.ceilings = prefix_ceilings(target.one_line(m)) if live else None
+        self.start = tuple(range(1, m + 1))
+        self.ktheory = ktheory
+
+    def steps(self, i, line, length):
+        """Moves out of state (i, line) as (sign, line, length) triples.
+
+        Sign 0 leaves cell i an elbow, +1 crosses it at an ascent and -1
+        crosses it at a non-ascent.
+        """
+        if self.goal - length > len(self.order) - i:
+            return ()
+        out = [(0, line, length)] if self.optional[i] else []
+        j = self.letters[i]
+        a, b = line[j - 1], line[j]
+        if a < b:
+            line = line[:j - 1] + (b, a) + line[j + 1:]
+            if row_leq(line, j, self.ceilings):
+                out.append((1, line, length + 1))
+        elif self.ktheory:
+            out.append((-1, line, length))
+        return out
+
+
+def iter_dreams(v, rows, cols, cells=None, forced=(), ktheory=False):
+    """Dreams for the completion of v in the walk's depth-first order.
+
+    Reduced dreams only, or every dream when `ktheory` is set.  `cells`
+    limits where optional crosses may sit; `forced` crosses are present
+    in every dream.
+    """
+    walk = _Walk(v, rows, cols, cells, forced, ktheory)
+    if walk.ceilings is None:
+        return
+    n = len(walk.order)
+    stack = [(0, walk.start, 0, ())]
+    while stack:
+        i, line, length, taken = stack.pop()
+        if i == n:
+            if length == walk.goal:
+                yield PipeDream(rows, cols, taken)
+            continue
+        for sign, line2, length2 in reversed(walk.steps(i, line, length)):
+            stack.append((i + 1, line2, length2, taken + (walk.order[i],) if sign else taken))
+
+
 def enum_rpipes(v, rows, cols, cells=None, forced=()):
     """All reduced pipe dreams for the completion of v on the given grid.
 
@@ -253,61 +321,65 @@ def enum_rpipes(v, rows, cols, cells=None, forced=()):
     >>> enum_rpipes(Perm.identity(), 3, 2)
     [PipeDream(3, 2, [])]
     """
-    target = _target_of(v)
-    forced = frozenset(forced)
-    order = _reading_cells(rows, cols, cells, forced, target)
-    if not all(f in order for f in forced):
-        return []
-    goal = target.length()
-    found = []
-
-    def search(idx, u, taken, remaining):
-        need = goal - u.length()
-        if need > remaining:
-            return
-        if idx == len(order):
-            if need == 0:
-                found.append(PipeDream(rows, cols, taken))
-            return
-        cell = order[idx]
-        letter = cell[0] + cell[1] - 1
-        if cell not in forced:
-            search(idx + 1, u, taken, remaining - 1)
-        if u(letter) < u(letter + 1):
-            u2 = u.times_tau(letter)
-            if u2.bruhat_leq(target):
-                search(idx + 1, u2, taken + (cell,), remaining - 1)
-
-    search(0, Perm.identity(), (), len(order))
-    return sorted(found)
+    return sorted(iter_dreams(v, rows, cols, cells, forced))
 
 
 def enum_pipes(v, rows, cols, cells=None, forced=()):
     """All pipe dreams with Demazure product the completion of v.
 
-    Grown as a closure: start from the reduced dreams and repeatedly add
-    single crosses that leave the product unchanged.
+    The same walk as enum_rpipes, with non-ascent crosses allowed.
+    Returns a sorted list.
 
     >>> enum_pipes(Perm.identity(), 1, 1)
     [PipeDream(1, 1, [])]
     >>> enum_pipes(Perm.tau(1), 2, 2)
     [PipeDream(2, 2, [(1, 1)])]
     """
-    target = _target_of(v)
-    forced = frozenset(forced)
-    order = _reading_cells(rows, cols, cells, forced, target)
-    seen = set(enum_rpipes(v, rows, cols, cells, forced))
-    queue = list(seen)
-    while queue:
-        P = queue.pop()
-        for cell in order:
-            if cell in P:
-                continue
-            P2 = P.with_cross(cell)
-            if P2 not in seen and P2.demazure() == target:
-                seen.add(P2)
-                queue.append(P2)
-    return sorted(seen)
+    return sorted(iter_dreams(v, rows, cols, cells, forced, ktheory=True))
+
+
+def dream_sum(v, rows, cols, weight, ktheory, forced=()):
+    """Sum over the dreams for v of the product of their cell weights.
+
+    `weight(r, c)` is the polynomial of an optional cross; a forced cross
+    weighs 1.  Reduced dreams only in cohomology; in K-theory every dream,
+    each non-ascent cross contributing a sign.  Memoized over the walk's
+    states (Fomin-Kirillov's transfer matrix):
+
+        F(i, u) = [cell i optional] F(i+1, u) + w_i F(i+1, u tau)
+
+    with -w_i F(i+1, u) in place of the second term at a non-ascent in
+    K-theory.
+
+    >>> from .poly import cross_weight, s_var, t_var
+    >>> w = lambda r, c: cross_weight(t_var(0, r), s_var(1, c), "cohomology")
+    >>> print(dream_sum(Perm.tau(1), 1, 1, w, ktheory=False))
+    -1*s1_1 + 1*t0_1
+    """
+    walk = _Walk(v, rows, cols, None, forced, ktheory)
+    n, goal = len(walk.order), walk.goal
+    weights = [weight(*cell) if opt else None for cell, opt in zip(walk.order, walk.optional)]
+    one, zero = LaurentPoly.one(), LaurentPoly.zero()
+    memo = {}
+
+    def total(i, line, length):
+        if i == n:
+            return one if length == goal else zero
+        key = (i, line)
+        got = memo.get(key)
+        if got is None:
+            parts = []
+            for sign, line2, length2 in walk.steps(i, line, length):
+                part = total(i + 1, line2, length2)
+                if part and sign and weights[i] is not None:
+                    part = part * weights[i]
+                parts.append(-part if sign < 0 else part)
+            got = memo[key] = parts[0] if len(parts) == 1 else LaurentPoly.sum(parts)
+        return got
+
+    if walk.ceilings is None:
+        return zero
+    return total(0, walk.start, 0)
 
 
 def enum_rpipes_by_subsets(v, rows, cols, cells=None, forced=()):
@@ -409,10 +481,12 @@ __all__ = [
     "CapacityError",
     "PipeDream",
     "capacity_limit",
+    "dream_sum",
     "enum_pipes",
     "enum_pipes_by_subsets",
     "enum_rpipes",
     "enum_rpipes_by_subsets",
+    "iter_dreams",
     "nw_restricted",
     "render_ascii",
     "render_svg",

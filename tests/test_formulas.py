@@ -1,8 +1,12 @@
 """Formula families: micro examples, lemma-level sums, main identities."""
 
 import doctest
+import functools
+import itertools
 
 from conftest import RUN_CODIM, RUN_W_MIN
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import pytest
 
 from qloci import formulas as formulas_mod
@@ -21,9 +25,9 @@ from qloci.formulas import (
 )
 from qloci.lacing import all_orbits, enum_KW, enum_W
 from qloci.perms import PartialPermutation, Perm
-from qloci.pipedreams import CapacityError
+from qloci.pipedreams import CapacityError, enum_pipes_by_subsets
 from qloci.poly import LaurentPoly, cross_weight, s_var, t_var
-from qloci.quiver import BipartiteQuiver, codim, zelevinsky
+from qloci.quiver import BipartiteQuiver, block_layout, codim, zelevinsky
 
 from test_factorization import SMALL, TINY, orbit_of_dense
 
@@ -185,6 +189,45 @@ def test_identities_across_all_small_orbits():
             assert kp == kpoly_component(quiver, orbit), orbit.laces
             assert md.homogeneous_part(cd) == md
             assert k_lowest_part(kp, cd) == md, orbit.laces
+
+
+SWEEP = tuple(
+    BipartiteQuiver(dims[: n + 1], dims[n + 1 :])
+    for n in (1, 2)
+    for dims in itertools.product((1, 2), repeat=2 * n + 1)
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _orbits(quiver):
+    return all_orbits(quiver)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SWEEP), st.data())
+def test_pipe_routes_match_the_subset_oracle(quiver, data):
+    # every northwest grid of the sweep has at most 16 snake cells
+    orbit = data.draw(st.sampled_from(_orbits(quiver)))
+    layout = block_layout(quiver)
+    cd = codim(quiver, orbit)
+    dreams = enum_pipes_by_subsets(
+        zelevinsky(quiver, orbit), quiver.d_y, quiver.d_x, forced=layout.p_star
+    )
+    sums = {}
+    for mode in ("cohomology", "ktheory"):
+        parts = []
+        for P in dreams:
+            extra = P.crosses - layout.p_star
+            if mode == "cohomology" and len(extra) != cd:
+                continue
+            weight = LaurentPoly.prod(
+                cross_weight(layout.row_var(r), layout.col_var(c), mode)
+                for r, c in sorted(extra)
+            )
+            parts.append((-1) ** (len(extra) - cd) * weight)
+        sums[mode] = LaurentPoly.sum(parts)
+    assert multidegree_pipe(quiver, orbit) == sums["cohomology"]
+    assert kpoly_pipe(quiver, orbit) == sums["ktheory"]
 
 
 def test_dense_orbit_invariants_are_one():

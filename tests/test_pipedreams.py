@@ -7,10 +7,11 @@ import random
 import pytest
 
 from qloci import pipedreams
-from qloci.perms import PartialPermutation, Perm, all_perms
+from qloci.perms import PartialPermutation, Perm, all_perms, prefix_ceilings, row_leq
 from qloci.pipedreams import (
     CapacityError,
     PipeDream,
+    dream_sum,
     enum_pipes,
     enum_pipes_by_subsets,
     enum_rpipes,
@@ -19,6 +20,7 @@ from qloci.pipedreams import (
     render_ascii,
     render_svg,
 )
+from qloci.poly import LaurentPoly, cross_weight, s_var, t_var
 
 from conftest import (
     P_NONREDUCED,
@@ -179,16 +181,68 @@ def test_running_example_enumeration():
     )
     assert P_REDUCED in rdreams
     assert all(len(P) == 9 for P in rdreams)
-    oracle = enum_rpipes_by_subsets(
-        RUN_V_OMEGA, 6, 5, cells=SNAKE_CELLS | P_STAR.crosses, forced=P_STAR.crosses
-    )
+    # the subset oracles search the whole 6x5 grid
+    oracle = enum_rpipes_by_subsets(RUN_V_OMEGA, 6, 5, forced=P_STAR.crosses)
     assert rdreams == oracle
     dreams = enum_pipes(RUN_V_OMEGA, 6, 5, cells=SNAKE_CELLS, forced=P_STAR.crosses)
     assert P_NONREDUCED in dreams
     assert set(rdreams) <= set(dreams)
-    assert dreams == enum_pipes_by_subsets(
-        RUN_V_OMEGA, 6, 5, cells=SNAKE_CELLS | P_STAR.crosses, forced=P_STAR.crosses
+    oracle = enum_pipes_by_subsets(RUN_V_OMEGA, 6, 5, forced=P_STAR.crosses)
+    assert dreams == oracle
+    for ktheory in (False, True):
+        weight = _grid_weight(ktheory)
+        assert dream_sum(
+            RUN_V_OMEGA, 6, 5, weight, ktheory, forced=P_STAR.crosses
+        ) == _oracle_sum(oracle, weight, ktheory, 9, P_STAR.crosses)
+
+
+# --- dream sums against the subset oracle ------------------------------
+
+
+def _grid_weight(ktheory):
+    mode = "ktheory" if ktheory else "cohomology"
+    return lambda r, c: cross_weight(t_var(0, r), s_var(1, c), mode)
+
+
+def _oracle_sum(dreams, weight, ktheory, goal, forced=frozenset()):
+    """Dream by dream: weights of the optional crosses, sign per extra cross."""
+    return LaurentPoly.sum(
+        (-1) ** (len(P) - goal)
+        * LaurentPoly.prod(weight(r, c) for r, c in sorted(P.crosses - forced))
+        for P in dreams
+        if ktheory or len(P) == goal
     )
+
+
+def test_dream_sum_matches_the_subset_oracle():
+    cases = [(v, v.size - 1, v.size - 1) for m in range(1, 5) for v in all_perms(m)]
+    cases += [
+        (w, rows, cols)
+        for rows in (1, 2)
+        for cols in (1, 2, 3)
+        for w in all_partial_perms(rows, cols)
+    ]
+    for v, rows, cols in cases:
+        goal = v.complete().length() if isinstance(v, PartialPermutation) else v.length()
+        dreams = enum_pipes_by_subsets(v, rows, cols)
+        for ktheory in (False, True):
+            weight = _grid_weight(ktheory)
+            assert dream_sum(v, rows, cols, weight, ktheory) == _oracle_sum(
+                dreams, weight, ktheory, goal
+            ), (v, rows, cols, ktheory)
+
+
+def test_one_row_bruhat_check_exhaustive_s5():
+    perms5 = list(all_perms(5))
+    for w in perms5:
+        ceilings = prefix_ceilings(w.one_line(5))
+        for u in perms5:
+            if not u.bruhat_leq(w):
+                continue
+            for j in range(1, 5):
+                if u.ascent_at(j):
+                    up = u.times_tau(j)
+                    assert row_leq(up.one_line(5), j, ceilings) == up.bruhat_leq(w)
 
 
 def test_capacity_guard(monkeypatch):
