@@ -1,20 +1,20 @@
-"""Factoring an orbit's permutation along the snake.
+"""Factoring an orbit's permutation along the snake, as one 0-Hecke word.
 
-A completed tuple multiplies out to a d x d permutation once each
-component is pushed to its window inside 1..d: a beta component is
-shifted past b_k, an alpha component is inverted, rotated in its window,
-and shifted past a_k.  Interleaving these with the Demazure products of
-the four dense corner regions recovers the orbit permutation either
-block row by block row or block column by block column; the tuples that
-do recover it form the set X of the orbit.
+Each dense region off the snake gives a reduced word of its Demazure
+product, and each tuple component a reduced word pushed to its window
+inside 1..d.  The 0-Hecke monoid is associative, so one Perm.from_word
+fold of the concatenated words is the product of the factors.  Read
+block row by block row or block column by block column, it recovers the
+orbit permutation exactly for the tuples of the set X of the orbit.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from functools import partial
 
-from .lacing import pi, pipes_to_laces, seqperm_neighbors
+from .lacing import _closure, pi, pipes_to_laces, seqperm_neighbors
 from .perms import Perm, all_perms
 from .pipedreams import CapacityError, PipeDream, enum_pipes, enum_rpipes
 from .quiver import block_layout, zelevinsky
@@ -25,14 +25,12 @@ __all__ = [
     "eps_south",
     "factorization_col",
     "factorization_row",
-    "hat_alpha",
-    "hat_beta",
     "pipe_fibers",
     "seqperm_closure",
-    "seqperm_moves",
     "shift_constants",
     "theta_east",
     "theta_west",
+    "window_grids",
     "x_omega",
     "x_omega_by_factorization",
     "x_omega_red",
@@ -55,15 +53,18 @@ def shift_constants(quiver):
     return out
 
 
-def hat_beta(quiver, v, k):
-    """The beta_k component pushed past the first b_k positions."""
-    return v.shifted(shift_constants(quiver)[k][1])
+def window_grids(quiver):
+    """Window shapes (rows, cols) of the arrows, in diagram order w_n, w^n, ..., w^1.
 
-
-def hat_alpha(quiver, v, k):
-    """The alpha_k component inverted, rotated in its window, pushed past a_k."""
-    m = quiver.dim("y%d" % (k - 1)) + quiver.dim("x%d" % k)
-    return v.inverse().rotated(m).shifted(shift_constants(quiver)[k][0])
+    >>> from .quiver import BipartiteQuiver
+    >>> window_grids(BipartiteQuiver((1, 3, 2), (2, 3)))
+    [(2, 3), (3, 3), (3, 2), (1, 2)]
+    """
+    grids = []
+    for k in range(quiver.n, 0, -1):
+        grids.append((quiver.dim("y%d" % k), quiver.dim("x%d" % k)))
+        grids.append((quiver.dim("y%d" % (k - 1)), quiver.dim("x%d" % k)))
+    return grids
 
 
 def _delta(quiver, row_names, col_names):
@@ -105,104 +106,104 @@ def theta_east(quiver, k):
     return _delta(quiver, ["y%d" % k], ["x%d" % i for i in range(k - 1, 0, -1)])
 
 
+def _snake_factors(quiver, by_rows):
+    """Factors in product order: a dense region's reduced word, or component index g."""
+    n = quiver.n
+    factors = []
+    for k in range(1, n + 1):
+        alpha, beta = 2 * (n - k) + 1, 2 * (n - k)
+        if by_rows:
+            factors += [eps_north(quiver, k), alpha, beta, eps_south(quiver, k)]
+        else:
+            factors += [alpha, theta_west(quiver, k), theta_east(quiver, k), beta]
+    return [f if isinstance(f, int) else f.reduced_word() for f in factors]
+
+
+def _pushed_word(quiver, g, u):
+    """A reduced word of component g, pushed to its window inside 1..d.
+
+    beta_k: each letter shifted past b_k.  alpha_k: inverted, rotated in
+    its window of size m and shifted past a_k, so reversed, i -> m - i + a_k.
+    """
+    k = quiver.n - g // 2
+    a, b = shift_constants(quiver)[k]
+    word = u.reduced_word()
+    if g % 2 == 0:
+        return [i + b for i in word]
+    m = sum(window_grids(quiver)[g])
+    return [m - i + a for i in reversed(word)]
+
+
+def _fold(factors, words):
+    """0-Hecke product of the factors, component g read as words[g]."""
+    return Perm.from_word(
+        i for f in factors for i in (words[f] if isinstance(f, int) else f)
+    )
+
+
+def _product(quiver, v, by_rows):
+    words = [_pushed_word(quiver, g, u) for g, u in enumerate(v)]
+    return _fold(_snake_factors(quiver, by_rows), words)
+
+
 def factorization_row(quiver, v):
     """0-Hecke product sweeping the snake one block row at a time."""
-    v = tuple(v)
-    out = Perm.identity()
-    n = quiver.n
-    for k in range(1, n + 1):
-        for factor in (
-            eps_north(quiver, k),
-            hat_alpha(quiver, v[2 * (n - k) + 1], k),
-            hat_beta(quiver, v[2 * (n - k)], k),
-            eps_south(quiver, k),
-        ):
-            out = out.hecke(factor)
-    return out
+    return _product(quiver, v, by_rows=True)
 
 
 def factorization_col(quiver, v):
     """The same product grouped by block columns; always agrees with the rows."""
-    v = tuple(v)
-    out = Perm.identity()
-    n = quiver.n
-    for k in range(1, n + 1):
-        for factor in (
-            hat_alpha(quiver, v[2 * (n - k) + 1], k),
-            theta_west(quiver, k),
-            theta_east(quiver, k),
-            hat_beta(quiver, v[2 * (n - k)], k),
-        ):
-            out = out.hecke(factor)
-    return out
+    return _product(quiver, v, by_rows=False)
 
 
 # --- the set X of an orbit --------------------------------------------
 
 
+def _nw_dreams(quiver, orbit, reduced):
+    """The orbit's northwest dreams, all of them or the reduced ones only."""
+    enum = enum_rpipes if reduced else enum_pipes
+    forced = block_layout(quiver).p_star
+    return enum(zelevinsky(quiver, orbit), quiver.d_y, quiver.d_x, forced=forced)
+
+
 def x_omega(quiver, orbit):
     """Completed tuples of every northwest dream of the orbit."""
-    layout = block_layout(quiver)
-    dreams = enum_pipes(
-        zelevinsky(quiver, orbit), quiver.d_y, quiver.d_x, forced=layout.p_star
-    )
-    return frozenset(pi(quiver, P) for P in dreams)
+    return frozenset(pi(quiver, P) for P in _nw_dreams(quiver, orbit, reduced=False))
 
 
 def x_omega_red(quiver, orbit):
     """Completed tuples of the reduced dreams only."""
-    layout = block_layout(quiver)
-    dreams = enum_rpipes(
-        zelevinsky(quiver, orbit), quiver.d_y, quiver.d_x, forced=layout.p_star
-    )
-    return frozenset(pi(quiver, P) for P in dreams)
+    return frozenset(pi(quiver, P) for P in _nw_dreams(quiver, orbit, reduced=True))
 
 
 def x_omega_by_factorization(quiver, orbit, limit=TUPLE_LIMIT):
     """Brute filter of all window tuples by the row product; the oracle."""
-    windows = []
-    for k in range(quiver.n, 0, -1):
-        windows.append(quiver.dim("y%d" % k) + quiver.dim("x%d" % k))
-        windows.append(quiver.dim("y%d" % (k - 1)) + quiver.dim("x%d" % k))
-    total = math.prod(math.factorial(m) for m in windows)
+    grids = window_grids(quiver)
+    total = math.prod(math.factorial(sum(grid)) for grid in grids)
     if total > limit:
         raise CapacityError(
             "%d window tuples exceed the brute budget of %d" % (total, limit)
         )
     target = zelevinsky(quiver, orbit)
-    pools = [tuple(all_perms(m)) for m in windows]
+    factors = _snake_factors(quiver, by_rows=True)
+    pools = [
+        {u: _pushed_word(quiver, g, u) for u in all_perms(sum(grid))}
+        for g, grid in enumerate(grids)
+    ]
     return frozenset(
         v for v in itertools.product(*pools)
-        if factorization_row(quiver, v) == target
+        if _fold(factors, [pool[u] for pool, u in zip(pools, v)]) == target
     )
-
-
-def seqperm_moves(quiver, v):
-    """All pattern-exchange neighbors of a completed tuple."""
-    return seqperm_neighbors(quiver, v, ktheory=True)
 
 
 def seqperm_closure(quiver, seeds):
     """Closure of a set of completed tuples under the pattern exchanges."""
-    seen = set(seeds)
-    queue = list(seen)
-    while queue:
-        v = queue.pop()
-        for v2 in seqperm_moves(quiver, v):
-            if v2 not in seen:
-                seen.add(v2)
-                queue.append(v2)
-    return frozenset(seen)
+    return _closure(seeds, partial(seqperm_neighbors, quiver, ktheory=True))
 
 
 def pipe_fibers(quiver, orbit, reduced=False):
     """The orbit's dreams grouped by traced diagram, as {diagram: dreams}."""
-    layout = block_layout(quiver)
-    enum = enum_rpipes if reduced else enum_pipes
-    dreams = enum(
-        zelevinsky(quiver, orbit), quiver.d_y, quiver.d_x, forced=layout.p_star
-    )
     fibers = {}
-    for P in dreams:
+    for P in _nw_dreams(quiver, orbit, reduced):
         fibers.setdefault(pipes_to_laces(quiver, P), []).append(P)
     return fibers

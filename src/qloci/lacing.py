@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+from functools import partial
 
 from .perms import PartialPermutation, Perm, all_partial_perms
 from .pipedreams import PipeDream, iter_dreams
@@ -327,12 +328,12 @@ def _diagram_step(quiver, w, ktheory):
     return out
 
 
-def _closure(quiver, seeds, ktheory):
+def _closure(seeds, step):
+    """Everything reachable from the seeds by repeated steps."""
     seen = set(seeds)
     queue = list(seen)
     while queue:
-        w = queue.pop()
-        for w2 in _diagram_step(quiver, w, ktheory):
+        for w2 in step(queue.pop()):
             if w2 not in seen:
                 seen.add(w2)
                 queue.append(w2)
@@ -355,7 +356,7 @@ def enum_W(quiver, orbit):
     if dream is None:
         raise OrbitError("no reduced northwest dream reaches the orbit permutation")
     seed = pipes_to_laces(quiver, dream)
-    return _closure(quiver, {seed}, ktheory=False)
+    return _closure({seed}, partial(_diagram_step, quiver, ktheory=False))
 
 
 def enum_W_by_filter(quiver, orbit):
@@ -373,7 +374,7 @@ def enum_KW(quiver, orbit):
     Members beyond enum_W may carry different lace data; only the set is
     attached to the orbit, not each diagram.
     """
-    return _closure(quiver, enum_W(quiver, orbit), ktheory=True)
+    return _closure(enum_W(quiver, orbit), partial(_diagram_step, quiver, ktheory=True))
 
 
 def all_diagrams(quiver):

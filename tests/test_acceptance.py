@@ -13,6 +13,7 @@ import time
 from qloci.factorization import (
     pipe_fibers,
     seqperm_closure,
+    window_grids,
     x_omega,
     x_omega_by_factorization,
     x_omega_red,
@@ -154,10 +155,7 @@ def test_criterion_6_bijection_suite(capsys):
             break
         dreams = enum_pipes(v, quiver.d_y, quiver.d_x, forced=layout.p_star)
         X = x_omega(quiver, orbit)
-        grids = []
-        for k in range(quiver.n, 0, -1):
-            grids.append((quiver.dim("y%d" % k), quiver.dim("x%d" % k)))
-            grids.append((quiver.dim("y%d" % (k - 1)), quiver.dim("x%d" % k)))
+        grids = window_grids(quiver)
         total = sum(
             math.prod(
                 len(enum_pipes(u, R, C)) for u, (R, C) in zip(tup, grids)

@@ -196,7 +196,9 @@ def test_verify_running_example_all_suites(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["ok"] is True
-    assert report["counts"]["fail"] == 0
+    # the pipe check passes whole; the factorization filter and the ratio
+    # certificate are refused for capacity
+    assert report["counts"] == {"pass": 3, "fail": 0, "skipped": 2}
     checks = report["instances"][0]["checks"]
     assert checks["codim"] == "pass"
     assert checks["component"] == "pass"

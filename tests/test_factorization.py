@@ -26,6 +26,7 @@ from qloci.factorization import (
     shift_constants,
     theta_east,
     theta_west,
+    window_grids,
     x_omega,
     x_omega_by_factorization,
     x_omega_red,
@@ -40,7 +41,7 @@ from qloci.lacing import (
     truncate,
 )
 from qloci.perms import Perm, all_perms
-from qloci.pipedreams import CapacityError, enum_pipes
+from qloci.pipedreams import CapacityError, PipeDream, enum_pipes
 from qloci.quiver import BipartiteQuiver, block_layout, zelevinsky
 
 from test_lacing import ID4, RUN_W_INT_A, RUN_W_INT_B, RUN_W_MIN2
@@ -86,17 +87,66 @@ def test_identity_tuple_factors_to_v_star(run_quiver):
 
 
 def _window_tuples(quiver):
-    windows = []
-    for k in range(quiver.n, 0, -1):
-        windows.append(quiver.dim("y%d" % k) + quiver.dim("x%d" % k))
-        windows.append(quiver.dim("y%d" % (k - 1)) + quiver.dim("x%d" % k))
-    return itertools.product(*[tuple(all_perms(m)) for m in windows])
+    return itertools.product(
+        *[tuple(all_perms(rows + cols)) for rows, cols in window_grids(quiver)]
+    )
 
 
 def test_row_equals_col_on_every_window_tuple():
     for quiver in SMALL:
         for v in _window_tuples(quiver):
             assert factorization_row(quiver, v) == factorization_col(quiver, v)
+
+
+def _dense(quiver, row_blocks, col_blocks):
+    """Demazure product of a d x d dream crossed on the given blocks."""
+    layout = block_layout(quiver)
+    cells = [
+        (r, c)
+        for zr in row_blocks
+        for zc in col_blocks
+        for r in range(layout.rows[zr][0], layout.rows[zr][1] + 1)
+        for c in range(layout.cols[zc][0], layout.cols[zc][1] + 1)
+    ]
+    return PipeDream(quiver.d, quiver.d, cells).demazure()
+
+
+def _hecke_reference(quiver, v):
+    """Row and column products folded factor by factor with Perm.hecke."""
+    n, shifts = quiver.n, shift_constants(quiver)
+    ys = lambda ks: ["y%d" % i for i in ks]
+    xs = lambda ks: ["x%d" % i for i in ks]
+    row = col = Perm.identity()
+    for k in range(1, n + 1):
+        a, b = shifts[k]
+        m = quiver.dim("y%d" % (k - 1)) + quiver.dim("x%d" % k)
+        alpha = v[2 * (n - k) + 1].inverse().rotated(m).shifted(a)
+        beta = v[2 * (n - k)].shifted(b)
+        for factor in (
+            _dense(quiver, ys(range(k - 1)), ["x%d" % k]),
+            alpha,
+            beta,
+            _dense(quiver, ys(range(k + 1, n + 1)), ["x%d" % k]),
+        ):
+            row = row.hecke(factor)
+        for factor in (
+            alpha,
+            _dense(quiver, ["y%d" % (k - 1)], xs(range(n, k, -1))),
+            _dense(quiver, ["y%d" % k], xs(range(k - 1, 0, -1))),
+            beta,
+        ):
+            col = col.hecke(factor)
+    return row, col
+
+
+def test_row_and_col_match_the_hecke_reference():
+    # row == col alone would pass a fault shared by both orders, such as
+    # an alpha word left unreversed or unmirrored
+    for quiver in SMALL:
+        for v in _window_tuples(quiver):
+            row, col = _hecke_reference(quiver, v)
+            assert factorization_row(quiver, v) == row
+            assert factorization_col(quiver, v) == col
 
 
 def test_x_omega_matches_the_brute_filter():
@@ -186,10 +236,7 @@ def test_counting_identity(run_quiver, run_orbit):
 def test_counting_identity_small_orbits():
     for quiver in SMALL:
         layout = block_layout(quiver)
-        grids = []
-        for k in range(quiver.n, 0, -1):
-            grids.append((quiver.dim("y%d" % k), quiver.dim("x%d" % k)))
-            grids.append((quiver.dim("y%d" % (k - 1)), quiver.dim("x%d" % k)))
+        grids = window_grids(quiver)
         for orbit in all_orbits(quiver):
             dreams = enum_pipes(
                 zelevinsky(quiver, orbit), quiver.d_y, quiver.d_x,
