@@ -23,7 +23,6 @@ import itertools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import lacing as lacing_mod
@@ -369,6 +368,8 @@ def cmd_verify(args):
         instances = _sweep_instances(args.max_n, args.max_dim)
     payloads = [(dy, dx, laces, suites) for dy, dx, laces in instances]
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_run_instance, payloads))
     else:

@@ -8,13 +8,18 @@ west wall (rows, labelled 1..k top to bottom) and the south wall
 (labelled k+1..k+l left to right); a cross lets both pipes pass
 straight through, an elbow turns west-bound traffic north and
 south-bound traffic east.
+
+Two searches list the dreams of a permutation.  `_Walk` drives every
+enumeration and every sum, pruned by the Bruhat order and by length.
+The subset oracle `enum_pipes_by_subsets` shares none of that: it
+builds live sets of one-line windows backward from the target, then
+visits forward from the identity only the subsets of the free cells
+whose 0-Hecke product is the target.
 """
 
 from __future__ import annotations
 
 import os
-
-import numpy as np
 
 from .perms import PartialPermutation, Perm, prefix_ceilings, row_leq
 from .poly import LaurentPoly
@@ -384,50 +389,71 @@ def dream_sum(v, rows, cols, weight, ktheory, forced=()):
 
 def enum_rpipes_by_subsets(v, rows, cols, cells=None, forced=()):
     """Subset brute force over the whole grid; the enumeration oracle."""
+    goal = _target_of(v).length()
     return [P for P in enum_pipes_by_subsets(v, rows, cols, cells, forced)
-            if len(P) == _target_of(v).length()]
+            if len(P) == goal]
 
 
 def enum_pipes_by_subsets(v, rows, cols, cells=None, forced=()):
     """All dreams with the right product, checked subset by subset.
 
+    An exact search over the subsets of the free cells that shares
+    nothing with the walk: no Bruhat order, no prefix ceilings, no
+    length prune; a subset is kept when its 0-Hecke product is the
+    target.  Backward from the target's one-line window, alive[k] holds
+    the lines from which cells k, k+1, ... of the reading order can
+    still end at the target.  A cross with letter j always leaves a
+    descent at j, so a line with a descent at j is reached by crossing,
+    from itself or from its swap; an optional cell also keeps
+    alive[k+1].  An iterative depth-first visit from the identity line
+    then enters only live lines and lists every subset that arrives.
+
     Refuses more than `capacity_limit()` free cells.
+
+    >>> enum_pipes_by_subsets(Perm.tau(1), 1, 2)
+    [PipeDream(1, 2, [(1, 1)])]
     """
     target = _target_of(v)
     forced = frozenset(forced)
     allowed = set(cells if cells is not None else _grid_cells(rows, cols))
-    free = [cell for cell in _grid_cells(rows, cols)
-            if cell in allowed and cell not in forced]
-    if len(free) > capacity_limit():
-        raise CapacityError(
-            "%d free cells exceeds the exhaustive budget of %d"
-            % (len(free), capacity_limit())
-        )
-    order = [(cell, cell[0] + cell[1] - 1)
+    order = [(cell, cell[0] + cell[1] - 1, cell not in forced)
              for cell in _grid_cells(rows, cols)
              if cell in forced or cell in allowed]
+    free = sum(optional for _, _, optional in order)
+    if free > capacity_limit():
+        raise CapacityError(
+            "%d free cells exceeds the exhaustive budget of %d"
+            % (free, capacity_limit())
+        )
     m = rows + cols
     if target.size > m:
         return []
-    goal = np.array(target.one_line(m), dtype=np.int16)
-    index = {cell: j for j, cell in enumerate(free)}
-    total = 1 << len(free)
-    chunk = 1 << 18
+    alive = [{target.one_line(m)}]
+    for _, j, optional in reversed(order):
+        later = alive[-1]
+        here = set(later) if optional else set()
+        for w in later:
+            if w[j - 1] > w[j]:
+                here.add(w)
+                here.add(w[:j - 1] + (w[j], w[j - 1]) + w[j + 1:])
+        alive.append(here)
+    alive.reverse()
     found = []
-    for start in range(0, total, chunk):
-        bits = np.arange(start, min(total, start + chunk), dtype=np.int64)
-        line = np.tile(np.arange(1, m + 1, dtype=np.int16), (len(bits), 1))
-        for cell, i in order:
-            a, b = line[:, i - 1], line[:, i]
-            mask = a < b
-            if cell not in forced:
-                mask &= ((bits >> index[cell]) & 1).astype(bool)
-            swapped = a[mask].copy()
-            a[mask] = b[mask]
-            b[mask] = swapped
-        for hit in bits[np.all(line == goal, axis=1)]:
-            extra = {cell for cell, j in index.items() if (int(hit) >> j) & 1}
-            found.append(PipeDream(rows, cols, forced | extra))
+    stack = [(0, tuple(range(1, m + 1)), ())]
+    while stack:
+        k, line, extra = stack.pop()
+        if line not in alive[k]:
+            continue
+        if k == len(order):
+            found.append(PipeDream(rows, cols, forced.union(extra)))
+            continue
+        cell, j, optional = order[k]
+        if optional:
+            stack.append((k + 1, line, extra))
+            extra += (cell,)
+        if line[j - 1] < line[j]:
+            line = line[:j - 1] + (line[j], line[j - 1]) + line[j + 1:]
+        stack.append((k + 1, line, extra))
     return sorted(found)
 
 

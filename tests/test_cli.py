@@ -1,12 +1,15 @@
 """Front end: output contracts, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 from conftest import P_STAR_CELLS, RUN_W_MIN
 import pytest
 
+import qloci
 from qloci.cli import main
 
 RUN_INPUT = {
@@ -312,12 +315,23 @@ def test_svg_is_for_render_only(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _child_env():
+    """This process's environment, with the imported qloci's src first on PYTHONPATH.
+
+    pytest's `pythonpath` setting reaches only its own process, not a child.
+    """
+    src = str(Path(qloci.__file__).resolve().parent.parent)
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+
+
 def test_console_entry_point_subprocess(tmp_path):
     path = _write(tmp_path, RUN_INPUT)
     proc = subprocess.run(
         [sys.executable, "-m", "qloci.cli", "zelevinsky", "--input", path],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == RUN_LINE
@@ -326,6 +340,20 @@ def test_console_entry_point_subprocess(tmp_path):
         input=json.dumps(RUN_INPUT),
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert piped.returncode == 0
     assert piped.stdout.splitlines()[0] == RUN_LINE
+
+
+def test_import_loads_no_numpy_and_no_process_pool():
+    # the process pool is imported only for `verify --jobs` above 1
+    probe = (
+        "import qloci.cli, sys; "
+        "print(sorted({'numpy', 'concurrent.futures.process'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=_child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

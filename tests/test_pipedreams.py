@@ -245,6 +245,49 @@ def test_one_row_bruhat_check_exhaustive_s5():
                     assert row_leq(up.one_line(5), j, ceilings) == up.bruhat_leq(w)
 
 
+def _folded_subsets(rows, cols, cells, forced):
+    """Every subset of the free cells, its 0-Hecke line folded cell by cell.
+
+    Maps each final one-line window to the sorted dreams that reach it.
+    """
+    reading = [(r, c) for r in range(1, rows + 1) for c in range(cols, 0, -1)]
+    allowed = set(reading if cells is None else cells) | set(forced)
+    order = [cell for cell in reading if cell in allowed]
+    free = [cell for cell in order if cell not in forced]
+    by_line = {}
+    for bits in itertools.product((False, True), repeat=len(free)):
+        crosses = set(forced) | {cell for cell, bit in zip(free, bits) if bit}
+        line = list(range(1, rows + cols + 1))
+        for r, c in order:
+            j = r + c - 1
+            if (r, c) in crosses and line[j - 1] < line[j]:
+                line[j - 1], line[j] = line[j], line[j - 1]
+        by_line.setdefault(tuple(line), []).append(PipeDream(rows, cols, crosses))
+    return {line: sorted(dreams) for line, dreams in by_line.items()}
+
+
+def test_subset_oracle_matches_every_subset_folded():
+    rng = random.Random(11)
+    perms = [v for m in range(1, 5) for v in all_perms(m)]
+    grids = [(rows, cols, perms) for rows in (1, 2, 3) for cols in (1, 2, 3)]
+    grids.append((2, 3, list(all_partial_perms(2, 3))))
+    for rows, cols, targets in grids:
+        grid = [(r, c) for r in range(1, rows + 1) for c in range(1, cols + 1)]
+        some = rng.sample(grid, len(grid) // 2)
+        pinned = rng.sample(grid, min(2, len(grid)))
+        for cells, forced in ((None, ()), (some, ()), (None, pinned), (some, pinned)):
+            folded = _folded_subsets(rows, cols, cells, forced)
+            for v in targets:
+                target = v.complete() if isinstance(v, PartialPermutation) else v
+                fits = target.size <= rows + cols
+                expected = folded.get(target.one_line(rows + cols), []) if fits else []
+                case = (v, rows, cols, cells, forced)
+                assert enum_pipes_by_subsets(v, rows, cols, cells, forced) == expected, case
+                assert enum_rpipes_by_subsets(v, rows, cols, cells, forced) == [
+                    P for P in expected if len(P) == target.length()
+                ], case
+
+
 def test_capacity_guard(monkeypatch):
     with pytest.raises(CapacityError):
         enum_pipes_by_subsets(RUN_V_OMEGA, 6, 5)
