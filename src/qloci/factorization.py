@@ -60,26 +60,14 @@ def window_grids(quiver):
     >>> window_grids(BipartiteQuiver((1, 3, 2), (2, 3)))
     [(2, 3), (3, 3), (3, 2), (1, 2)]
     """
-    grids = []
-    for k in range(quiver.n, 0, -1):
-        grids.append((quiver.dim("y%d" % k), quiver.dim("x%d" % k)))
-        grids.append((quiver.dim("y%d" % (k - 1)), quiver.dim("x%d" % k)))
-    return grids
+    return [(len(rows), len(cols)) for rows, cols in block_layout(quiver).windows]
 
 
 def _delta(quiver, row_names, col_names):
     layout = block_layout(quiver)
-    cells = []
-    for zr in row_names:
-        lo, hi = layout.rows[zr]
-        for zc in col_names:
-            clo, chi = layout.cols[zc]
-            cells += [
-                (r, c)
-                for r in range(lo, hi + 1)
-                for c in range(clo, chi + 1)
-            ]
-    return PipeDream(quiver.d, quiver.d, cells).demazure()
+    rows = [r for z in row_names for r in range(layout.rows[z][0], layout.rows[z][1] + 1)]
+    cols = [c for z in col_names for c in range(layout.cols[z][0], layout.cols[z][1] + 1)]
+    return PipeDream(quiver.d, quiver.d, itertools.product(rows, cols)).demazure()
 
 
 def eps_north(quiver, k):

@@ -11,6 +11,9 @@ factor alike, is one call to `pipedreams.dream_sum`: a memoized
 recursion over (reading position, 0-Hecke prefix) states that multiplies
 in a cell's weight when the cell is crossed, so no dream is listed.
 
+A component factor reads its alphabets off the layout's variables over
+its arrow window.
+
 Weights: a crossing in cell (r, c) contributes (row label - column
 label) in cohomology and (1 - row/column) in K-theory; in K-theory each
 crossing beyond the length also flips the sign.
@@ -36,10 +39,8 @@ __all__ = [
     "multidegree_component",
     "multidegree_pipe",
     "ratio_check",
-    "s_alphabet",
     "schubert",
     "schubert_lacing",
-    "t_alphabet",
 ]
 
 
@@ -84,27 +85,15 @@ def grothendieck(w, row_vars, col_vars):
     return _factor(w, row_vars, col_vars, "ktheory")
 
 
-def t_alphabet(quiver, k):
-    """Variables of the source block y_k, slots ascending."""
-    return [t_var(k, i) for i in range(1, quiver.dim("y%d" % k) + 1)]
-
-
-def s_alphabet(quiver, k):
-    return [s_var(k, i) for i in range(1, quiver.dim("x%d" % k) + 1)]
-
-
 def _lacing_product(quiver, w, factor):
-    w = tuple(w)
+    layout = block_layout(quiver)
     parts = []
-    for j, k in enumerate(range(quiver.n, 0, -1)):
-        parts.append(factor(w[2 * j], t_alphabet(quiver, k), s_alphabet(quiver, k)))
-        parts.append(
-            factor(
-                w[2 * j + 1].rot(),
-                t_alphabet(quiver, k - 1)[::-1],
-                s_alphabet(quiver, k)[::-1],
-            )
-        )
+    for g, (u, (rows, cols)) in enumerate(zip(w, layout.windows, strict=True)):
+        row_vars = [layout.row_vars[r - 1] for r in rows]
+        col_vars = [layout.col_vars[c - 1] for c in cols]
+        if g % 2:
+            u, row_vars, col_vars = u.rot(), row_vars[::-1], col_vars[::-1]
+        parts.append(factor(u, row_vars, col_vars))
     return LaurentPoly.prod(parts)
 
 
@@ -130,7 +119,7 @@ def _pipe_sum(quiver, orbit, mode):
     layout = block_layout(quiver)
     return dream_sum(
         zelevinsky(quiver, orbit), quiver.d_y, quiver.d_x,
-        lambda r, c: cross_weight(layout.row_var(r), layout.col_var(c), mode),
+        lambda r, c: cross_weight(layout.row_vars[r - 1], layout.col_vars[c - 1], mode),
         ktheory=mode == "ktheory",
         forced=layout.p_star,
     )
@@ -168,17 +157,17 @@ def kpoly_component(quiver, orbit):
 def ratio_check(quiver, orbit):
     """Cross-multiplied ratio identities on the full d x d alphabets.
 
-    Checks degree and K-theory at once; only one-dimensional quivers with
-    n <= 2 fit the exhaustive full-grid enumerations.  Returns a pair of
-    booleans (cohomology, ktheory).
+    Checks degree and K-theory at once and returns a pair of booleans
+    (cohomology, ktheory).  Every factor is one `dream_sum`, which lists no
+    dream; the guard to one-dimensional quivers with n <= 2 stays until a
+    budget on walk states replaces it (ROADMAP items 4 and 6).
     """
     if quiver.n > 2 or quiver.d > 5 or any(a > 1 for a in quiver.dy + quiver.dx):
         raise CapacityError(
             "ratio certificates need every dimension 1 and n <= 2"
         )
     layout = block_layout(quiver)
-    rows = [layout.row_var(r) for r in range(1, quiver.d + 1)]
-    cols = [layout.col_var(c) for c in range(1, quiver.d + 1)]
+    rows, cols = layout.row_vars, layout.col_vars
     v_om = zelevinsky(quiver, orbit)
     dense = v_star(quiver)
     co = schubert(dense, rows, cols) * multidegree_pipe(quiver, orbit) == schubert(

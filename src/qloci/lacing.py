@@ -7,6 +7,8 @@ shape d(y_{k-1}) x d(x_k) (alpha_k, pointing left).  Completing every
 component gives the extended diagram, a tuple of honest permutations;
 moves act there, never on the raw matrices.
 
+Loops over the arrows walk the block layout's windows, kept in this order.
+
 Extended drawings hang beta virtual dots below the real column and
 alpha virtual dots above it, so the two completions of a shared column
 never collide.
@@ -82,18 +84,18 @@ def truncate(quiver, v):
     (PartialPermutation([[1]]), PartialPermutation([[1]]))
     """
     v = tuple(v)
-    if len(v) != 2 * quiver.n:
-        raise ValueError("expected %d permutations, got %d" % (2 * quiver.n, len(v)))
+    windows = block_layout(quiver).windows
+    if len(v) != len(windows):
+        raise ValueError("expected %d permutations, got %d" % (len(windows), len(v)))
     out = []
-    for j, k in enumerate(range(quiver.n, 0, -1)):
-        C = quiver.dim("x%d" % k)
-        for idx, R in ((2 * j, quiver.dim("y%d" % k)), (2 * j + 1, quiver.dim("y%d" % (k - 1)))):
-            if v[idx].size > R + C:
-                raise ValueError(
-                    "component %d moves a point beyond its %d+%d window" % (idx, R, C)
-                )
-            part = v[idx].nw_partial(R, C)
-            out.append(part if idx % 2 == 0 else part.rot())
+    for idx, (u, (rows, cols)) in enumerate(zip(v, windows)):
+        R, C = len(rows), len(cols)
+        if u.size > R + C:
+            raise ValueError(
+                "component %d moves a point beyond its %d+%d window" % (idx, R, C)
+            )
+        part = u.nw_partial(R, C)
+        out.append(part if idx % 2 == 0 else part.rot())
     return tuple(out)
 
 
@@ -193,35 +195,23 @@ def is_minimal(w):
 # --- pipe dreams to diagrams ------------------------------------------
 
 
-def _check_nw(quiver, P):
-    if (P.rows, P.cols) != (quiver.d_y, quiver.d_x):
-        raise ValueError(
-            "dream is %dx%d, northwest grid is %dx%d"
-            % (P.rows, P.cols, quiver.d_y, quiver.d_x)
-        )
-    layout = block_layout(quiver)
-    if not layout.p_star <= P.crosses:
-        raise ValueError("dream must contain every cross of the dense dream")
-    return layout
-
-
 def mini_dreams(quiver, P):
     """Snake-block restrictions of a northwest dream, relative coordinates.
 
     Listed (P_n, P^n, ..., P_1, P^1) to line up with diagram components.
     """
-    layout = _check_nw(quiver, P)
-    minis = []
-    for k in range(quiver.n, 0, -1):
-        for rows, cols in (layout.beta_block(k), layout.alpha_block(k)):
-            cells = [
-                (a, b)
-                for a, r in enumerate(rows, 1)
-                for b, c in enumerate(cols, 1)
-                if (r, c) in P
-            ]
-            minis.append(PipeDream(len(rows), len(cols), cells))
-    return tuple(minis)
+    if (P.rows, P.cols) != (quiver.d_y, quiver.d_x):
+        raise ValueError("dream is %dx%d, northwest grid is %dx%d"
+                         % (P.rows, P.cols, quiver.d_y, quiver.d_x))
+    layout = block_layout(quiver)
+    if not layout.p_star <= P.crosses:
+        raise ValueError("dream must contain every cross of the dense dream")
+    return tuple(
+        PipeDream(len(rows), len(cols), [
+            (a, b) for a, r in enumerate(rows, 1) for b, c in enumerate(cols, 1) if (r, c) in P
+        ])
+        for rows, cols in layout.windows
+    )
 
 
 def pipes_to_laces(quiver, P):
@@ -348,8 +338,13 @@ def enum_W(quiver, orbit):
 
     The seed is the diagram of the first reduced northwest dream for
     v(orbit) that the pipe-dream walk reaches; enum_W_by_filter
-    recomputes the set without moves.
+    recomputes the set without moves.  The orbit keeps the set from the
+    first call on.
     """
+    return orbit.derived(quiver, "_w", _minimal_closure)
+
+
+def _minimal_closure(quiver, orbit):
     v_om = zelevinsky(quiver, orbit)
     layout = block_layout(quiver)
     dream = next(iter_dreams(v_om, quiver.d_y, quiver.d_x, forced=layout.p_star), None)
@@ -379,12 +374,9 @@ def enum_KW(quiver, orbit):
 
 def all_diagrams(quiver):
     """Every lacing diagram of the quiver, componentwise enumeration."""
-    pools = []
-    for k in range(quiver.n, 0, -1):
-        C = quiver.dim("x%d" % k)
-        pools.append(tuple(all_partial_perms(quiver.dim("y%d" % k), C)))
-        pools.append(tuple(all_partial_perms(quiver.dim("y%d" % (k - 1)), C)))
-    return itertools.product(*pools)
+    return itertools.product(*(
+        all_partial_perms(len(rows), len(cols)) for rows, cols in block_layout(quiver).windows
+    ))
 
 
 def all_orbits(quiver):
@@ -429,9 +421,7 @@ def render_ascii(quiver, w):
     for (col, h), real in dots.items():
         canvas[(col * _SPACING, h)] = "o" if real else "*"
     header = [" "] * (width + 2)
-    for col in range(2 * quiver.n + 1):
-        k = quiver.n - col // 2
-        label = "y%d" % k if col % 2 == 0 else "x%d" % k
+    for col, label in enumerate(quiver.vertices()):
         for off, ch in enumerate(label):
             header[col * _SPACING + off] = ch
     lines = ["".join(header).rstrip()]

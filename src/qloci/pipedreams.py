@@ -362,9 +362,11 @@ def dream_sum(v, rows, cols, weight, ktheory, forced=()):
     -1*s1_1 + 1*t0_1
     """
     walk = _Walk(v, rows, cols, None, forced, ktheory)
+    one, zero = LaurentPoly.one(), LaurentPoly.zero()
+    if walk.ceilings is None:
+        return zero
     n, goal = len(walk.order), walk.goal
     weights = [weight(*cell) if opt else None for cell, opt in zip(walk.order, walk.optional)]
-    one, zero = LaurentPoly.one(), LaurentPoly.zero()
     memo = {}
 
     def total(i, line, length):
@@ -382,9 +384,9 @@ def dream_sum(v, rows, cols, weight, ktheory, forced=()):
             got = memo[key] = parts[0] if len(parts) == 1 else LaurentPoly.sum(parts)
         return got
 
-    if walk.ceilings is None:
-        return zero
-    return total(0, walk.start, 0)
+    got = total(0, walk.start, 0)
+    del total  # the recursion holds itself: unbound, its memo is freed now, not by the gc
+    return got
 
 
 def enum_rpipes_by_subsets(v, rows, cols, cells=None, forced=()):

@@ -7,9 +7,15 @@ y_0..y_n then x_n..x_1 top to bottom and column blocks x_n..x_1 then
 y_0..y_n left to right; the snake region is the union of the arrow
 blocks (alpha_k: rows y_{k-1} x cols x_k, beta_k: rows y_k x cols x_k)
 and P_* is the rest of the northwest d_y x d_x corner.
+
+Each derived value is computed once and kept by its owner: the quiver
+keeps its BlockLayout (intervals, variables, arrow windows, snake, P_*,
+v_*), and an OrbitData keeps v(orbit) and W.  Other modules read them.
 """
 
 from __future__ import annotations
+
+from itertools import product
 
 from .perms import PartialPermutation, Perm
 from .pipedreams import PipeDream
@@ -30,7 +36,7 @@ class BipartiteQuiver:
     ('y2', 'x2', 'y1')
     """
 
-    __slots__ = ("dy", "dx", "n")
+    __slots__ = ("dy", "dx", "n", "_layout")
 
     def __init__(self, dy, dx):
         dy = tuple(int(a) for a in dy)
@@ -42,6 +48,7 @@ class BipartiteQuiver:
         object.__setattr__(self, "dy", dy)
         object.__setattr__(self, "dx", dx)
         object.__setattr__(self, "n", len(dx))
+        object.__setattr__(self, "_layout", None)  # built by block_layout
 
     def __setattr__(self, name, value):
         raise AttributeError("BipartiteQuiver is immutable")
@@ -89,89 +96,61 @@ class BipartiteQuiver:
 
 
 class BlockLayout:
-    """Absolute row/column intervals, the snake region, and variable labels."""
+    """Block intervals, variables, arrow windows, snake, P_* and v_* of a quiver.
 
-    __slots__ = ("quiver", "row_order", "col_order", "rows", "cols", "snake", "p_star")
+    `windows` holds (absolute rows, absolute columns) of the 2n arrows in
+    diagram order w_n, w^n, ..., w_1, w^1.
+    """
+
+    # no back reference to the quiver, so the quiver frees its layout by refcount
+    __slots__ = (
+        "row_order", "col_order", "rows", "cols", "row_vars", "col_vars",
+        "windows", "snake", "p_star", "p_star_dream", "v_star",
+    )
 
     def __init__(self, quiver):
-        object.__setattr__(self, "quiver", quiver)
         n = quiver.n
-        row_order = tuple("y%d" % k for k in range(n + 1)) + tuple(
-            "x%d" % k for k in range(n, 0, -1)
+        ys = tuple("y%d" % k for k in range(n + 1))
+        xs = tuple("x%d" % k for k in range(n, 0, -1))
+        row_order, col_order = ys + xs, xs + ys
+        rows, cols = _intervals(quiver, row_order), _intervals(quiver, col_order)
+        windows = tuple(
+            (tuple(_span(rows[source])), tuple(_span(cols["x%d" % k])))
+            for k in range(n, 0, -1)
+            for source in ("y%d" % k, "y%d" % (k - 1))
         )
-        col_order = tuple("x%d" % k for k in range(n, 0, -1)) + tuple(
-            "y%d" % k for k in range(n + 1)
-        )
-        rows, cols = {}, {}
-        at = 1
-        for z in row_order:
-            rows[z] = (at, at + quiver.dim(z) - 1)
-            at += quiver.dim(z)
-        at = 1
-        for z in col_order:
-            cols[z] = (at, at + quiver.dim(z) - 1)
-            at += quiver.dim(z)
-        snake = set()
-        for k in range(1, n + 1):
-            for block_rows in ("y%d" % (k - 1), "y%d" % k):
-                snake |= {
-                    (r, c)
-                    for r in _span(rows[block_rows])
-                    for c in _span(cols["x%d" % k])
-                }
-        p_star = {
-            (r, c)
-            for r in range(1, quiver.d_y + 1)
-            for c in range(1, quiver.d_x + 1)
-            if (r, c) not in snake
-        }
-        object.__setattr__(self, "row_order", row_order)
-        object.__setattr__(self, "col_order", col_order)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "snake", frozenset(snake))
-        object.__setattr__(self, "p_star", frozenset(p_star))
+        snake = frozenset((r, c) for wr, wc in windows for r in wr for c in wc)
+        p_star = frozenset(product(range(1, quiver.d_y + 1), range(1, quiver.d_x + 1))) - snake
+        dream = PipeDream(quiver.d_y, quiver.d_x, p_star)
+        for name, value in (
+            ("row_order", row_order), ("col_order", col_order), ("rows", rows), ("cols", cols),
+            ("row_vars", _block_vars(quiver, row_order)),
+            ("col_vars", _block_vars(quiver, col_order)),
+            ("windows", windows), ("snake", snake), ("p_star", p_star),
+            ("p_star_dream", dream), ("v_star", dream.demazure()),
+        ):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("BlockLayout is immutable")
 
     def alpha_block(self, k):
         """Cells of the alpha_k block: rows y_{k-1}, columns x_k."""
-        return (
-            tuple(_span(self.rows["y%d" % (k - 1)])),
-            tuple(_span(self.cols["x%d" % k])),
-        )
+        return self.windows[len(self.windows) - 2 * k + 1]
 
     def beta_block(self, k):
-        return (
-            tuple(_span(self.rows["y%d" % k])),
-            tuple(_span(self.cols["x%d" % k])),
-        )
-
-    def row_block_of(self, r):
-        for z in self.row_order:
-            lo, hi = self.rows[z]
-            if lo <= r <= hi:
-                return z, r - lo + 1
-        raise ValueError("row %d outside the grid" % r)
-
-    def col_block_of(self, c):
-        for z in self.col_order:
-            lo, hi = self.cols[z]
-            if lo <= c <= hi:
-                return z, c - lo + 1
-        raise ValueError("column %d outside the grid" % c)
+        return self.windows[len(self.windows) - 2 * k]
 
     def row_var(self, r):
         """t^i_a for a row in block y_i, s^j_b for one in block x_j."""
-        z, slot = self.row_block_of(r)
-        k = int(z[1:])
-        return t_var(k, slot) if z[0] == "y" else s_var(k, slot)
+        if not 1 <= r <= len(self.row_vars):
+            raise ValueError("row %d outside the grid" % r)
+        return self.row_vars[r - 1]
 
     def col_var(self, c):
-        z, slot = self.col_block_of(c)
-        k = int(z[1:])
-        return s_var(k, slot) if z[0] == "x" else t_var(k, slot)
+        if not 1 <= c <= len(self.col_vars):
+            raise ValueError("column %d outside the grid" % c)
+        return self.col_vars[c - 1]
 
 
 def _span(interval):
@@ -179,28 +158,54 @@ def _span(interval):
     return range(lo, hi + 1)
 
 
-def block_layout(quiver):
-    """The block decomposition of the d x d grid for this quiver.
+def _intervals(quiver, order):
+    """Consecutive 1-based (first, last) intervals for the blocks in order."""
+    out, at = {}, 1
+    for z in order:
+        out[z] = (at, at + quiver.dim(z) - 1)
+        at += quiver.dim(z)
+    return out
 
-    >>> L = block_layout(BipartiteQuiver((1, 1), (1,)))
-    >>> sorted(L.snake), sorted(L.p_star)
-    ([(1, 1), (2, 1)], [])
+
+def _block_vars(quiver, order):
+    """One variable per row or column: t^i_a in block y_i, s^j_b in block x_j."""
+    return tuple(
+        (t_var if z[0] == "y" else s_var)(int(z[1:]), slot)
+        for z in order
+        for slot in range(1, quiver.dim(z) + 1)
+    )
+
+
+def block_layout(quiver):
+    """The quiver's block layout, built at the first call and kept on the quiver.
+
+    >>> Q = BipartiteQuiver((1, 1), (1,))
+    >>> L = block_layout(Q)
+    >>> sorted(L.snake), sorted(L.p_star), L is block_layout(Q)
+    ([(1, 1), (2, 1)], [], True)
     """
-    return BlockLayout(quiver)
+    if quiver._layout is None:
+        object.__setattr__(quiver, "_layout", BlockLayout(quiver))
+    return quiver._layout
 
 
 class OrbitData:
     """Lace multiplicities of an orbit: (left vertex, right vertex) -> count.
 
     Vertex saturation must hold: the laces whose span covers a vertex z,
-    endpoints included, number exactly dim(z).
+    endpoints included, number exactly dim(z).  The orbit keeps v(orbit)
+    and its minimal diagrams W once computed; neither enters == or hash.
     """
 
-    __slots__ = ("quiver", "laces")
+    __slots__ = ("quiver", "laces", "_v", "_w")
 
     def __init__(self, quiver, laces):
+        ends = quiver.vertices()
         clean = {}
         for (left, right), mult in laces.items():
+            if left not in ends or right not in ends:
+                raise OrbitError("(%s, %s) is not a pair of vertices of the quiver"
+                                 % (left, right))
             if mult < 0:
                 raise OrbitError("negative multiplicity for (%s, %s)" % (left, right))
             if quiver.position(left) > quiver.position(right):
@@ -209,12 +214,27 @@ class OrbitData:
                 clean[(left, right)] = int(mult)
         object.__setattr__(self, "quiver", quiver)
         object.__setattr__(self, "laces", clean)
-        for z in quiver.vertices():
+        object.__setattr__(self, "_v", None)
+        object.__setattr__(self, "_w", None)
+        for z in ends:
             have = self.laces_through(z)
             if have != quiver.dim(z):
                 raise OrbitError(
                     "%d laces meet %s but dim is %d" % (have, z, quiver.dim(z))
                 )
+
+    def derived(self, quiver, slot, compute):
+        """compute(quiver, self), kept in `slot` after the first call.
+
+        A quiver other than the orbit's own is an OrbitError.
+        """
+        if quiver != self.quiver:
+            raise OrbitError("the orbit belongs to %r, not to %r" % (self.quiver, quiver))
+        value = getattr(self, slot)
+        if value is None:
+            value = compute(quiver, self)
+            object.__setattr__(self, slot, value)
+        return value
 
     def __setattr__(self, name, value):
         raise AttributeError("OrbitData is immutable")
@@ -242,25 +262,6 @@ class OrbitData:
         return "OrbitData(%s)" % (sorted(self.laces.items()),)
 
 
-def _diagram_parts(quiver, w):
-    """Yield (kind, k, matrix) for a diagram listed (w_n, w^n, ..., w_1, w^1)."""
-    w = tuple(w)
-    if len(w) != 2 * quiver.n:
-        raise ValueError("expected %d matrices, got %d" % (2 * quiver.n, len(w)))
-    for j, k in enumerate(range(quiver.n, 0, -1)):
-        beta, alpha = w[2 * j], w[2 * j + 1]
-        if (beta.rows, beta.cols) != (quiver.dim("y%d" % k), quiver.dim("x%d" % k)):
-            raise ValueError("beta_%d matrix must be %dx%d"
-                             % (k, quiver.dim("y%d" % k), quiver.dim("x%d" % k)))
-        if (alpha.rows, alpha.cols) != (
-            quiver.dim("y%d" % (k - 1)), quiver.dim("x%d" % k)
-        ):
-            raise ValueError("alpha_%d matrix must be %dx%d"
-                             % (k, quiver.dim("y%d" % (k - 1)), quiver.dim("x%d" % k)))
-        yield ("beta", k, beta)
-        yield ("alpha", k, alpha)
-
-
 def orbit_from_lacing(quiver, w):
     """Decompose a lacing diagram into laces and count endpoint pairs.
 
@@ -282,8 +283,15 @@ def orbit_from_lacing(quiver, w):
     def union(a, b):
         parent[find(a)] = find(b)
 
-    for kind, k, mat in _diagram_parts(quiver, w):
-        source = "y%d" % (k if kind == "beta" else k - 1)
+    w = tuple(w)
+    windows = block_layout(quiver).windows
+    if len(w) != len(windows):
+        raise ValueError("expected %d matrices, got %d" % (len(windows), len(w)))
+    for g, (mat, (rows, cols)) in enumerate(zip(w, windows)):
+        k = quiver.n - g // 2
+        kind, source = ("alpha", "y%d" % (k - 1)) if g % 2 else ("beta", "y%d" % k)
+        if (mat.rows, mat.cols) != (len(rows), len(cols)):
+            raise ValueError("%s_%d matrix must be %dx%d" % (kind, k, len(rows), len(cols)))
         for r, c in mat.ones():
             union((source, r), ("x%d" % k, c))
 
@@ -307,7 +315,12 @@ def zelevinsky(quiver, orbit):
     right of z', and 0 otherwise.  Within a block row the nonzero blocks
     fill consecutive rows left to right; within a block column,
     consecutive columns top to bottom; each block carries an identity.
+    The orbit keeps the permutation from the first call on.
     """
+    return orbit.derived(quiver, "_v", _assemble_zelevinsky)
+
+
+def _assemble_zelevinsky(quiver, orbit):
     layout = block_layout(quiver)
     counts = {}
     for a in layout.row_order:
@@ -354,8 +367,7 @@ def zelevinsky(quiver, orbit):
 
 
 def p_star_dream(quiver):
-    layout = block_layout(quiver)
-    return PipeDream(quiver.d_y, quiver.d_x, layout.p_star)
+    return block_layout(quiver).p_star_dream
 
 
 def v_star(quiver):
@@ -364,7 +376,7 @@ def v_star(quiver):
     >>> v_star(BipartiteQuiver((1, 1), (1,)))
     Perm(())
     """
-    return p_star_dream(quiver).demazure()
+    return block_layout(quiver).v_star
 
 
 def codim(quiver, orbit):
@@ -375,12 +387,19 @@ def codim(quiver, orbit):
 # --- JSON input --------------------------------------------------------
 
 
+def _expect(kind, value, what):
+    """`value` if it is of the JSON kind (list or dict), else ValueError."""
+    if not isinstance(value, kind):
+        raise ValueError("%s must be a JSON %s" % (what, "list" if kind is list else "object"))
+    return value
+
+
 def quiver_from_json(obj):
     """Build (quiver, orbit) from the CLI input schema."""
     try:
         n = int(obj["n"])
-        dy = [int(a) for a in obj["dy"]]
-        dx = [int(a) for a in obj["dx"]]
+        dy = [int(a) for a in _expect(list, obj["dy"], "dy")]
+        dx = [int(a) for a in _expect(list, obj["dx"], "dx")]
     except (KeyError, TypeError, ValueError) as err:
         raise ValueError("input needs integer n and lists dy, dx: %s" % err)
     if n != len(dx):
@@ -390,18 +409,24 @@ def quiver_from_json(obj):
     if entry is None:
         raise ValueError("input needs an 'orbit' entry")
     orbit = None
-    if "lacing" in entry:
-        mats = [PartialPermutation(m) for m in entry["lacing"]]
-        orbit = orbit_from_lacing(quiver, mats)
-    if "multiplicities" in entry:
-        laces = {}
-        for key, mult in entry["multiplicities"].items():
-            left, _, right = key.partition(",")
-            laces[(left.strip(), right.strip())] = int(mult)
-        by_mult = OrbitData(quiver, laces)
-        if orbit is not None and orbit.laces != by_mult.laces:
-            raise ValueError("'lacing' and 'multiplicities' disagree")
-        orbit = by_mult
+    try:
+        if "lacing" in entry:
+            mats = [
+                PartialPermutation(_expect(list, m, "a lacing matrix"))
+                for m in _expect(list, entry["lacing"], "'lacing'")
+            ]
+            orbit = orbit_from_lacing(quiver, mats)
+        if "multiplicities" in entry:
+            laces = {}
+            for key, mult in _expect(dict, entry["multiplicities"], "'multiplicities'").items():
+                left, _, right = key.partition(",")
+                laces[(left.strip(), right.strip())] = int(mult)
+            by_mult = OrbitData(quiver, laces)
+            if orbit is not None and orbit.laces != by_mult.laces:
+                raise ValueError("'lacing' and 'multiplicities' disagree")
+            orbit = by_mult
+    except TypeError as err:
+        raise ValueError("malformed orbit: %s" % err) from err
     if orbit is None:
         raise ValueError("orbit needs either 'lacing' or 'multiplicities'")
     return quiver, orbit

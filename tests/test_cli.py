@@ -287,6 +287,33 @@ def test_invalid_inputs_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _tiny(**orbit):
+    return dict(TINY_LACING_INPUT, orbit=orbit)
+
+
+@pytest.mark.parametrize("command", ["zelevinsky", "render"])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        _tiny(multiplicities={"y1": 1}),
+        _tiny(lacing=5),
+        _tiny(lacing=[5, [[0]]]),
+        _tiny(multiplicities=[1]),
+        _tiny(multiplicities={"q1,y0": 1}),
+        _tiny(multiplicities={"q1,q0": 1}),
+        _tiny(multiplicities={"y1,x0": 1}),
+        dict(TINY_LACING_INPUT, dy="11"),
+    ],
+    ids=["no-comma", "lacing-int", "matrix-int", "multiplicities-list",
+         "family-q", "families-q", "vertex-x0", "dy-string"],
+)
+def test_malformed_input_exits_2(tmp_path, capsys, command, bad):
+    code = main([command, "--input", _write(tmp_path, bad)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "invalid input" in err and "Traceback" not in err
+
+
 def test_unsaturated_orbit_exits_2(tmp_path, capsys):
     undersized = dict(RUN_INPUT)
     undersized["orbit"] = {"multiplicities": {"y2,y0": 1}}

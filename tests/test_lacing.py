@@ -40,6 +40,7 @@ from qloci.pipedreams import PipeDream, enum_rpipes
 from qloci.quiver import (
     BipartiteQuiver,
     OrbitData,
+    OrbitError,
     block_layout,
     orbit_from_lacing,
     zelevinsky,
@@ -309,7 +310,14 @@ def test_enum_W_dense_orbit(run_quiver):
 def test_enum_W_zero_orbit_of_the_smallest_quiver():
     orbit = OrbitData(TINY, {("y1", "y1"): 1, ("x1", "x1"): 1, ("y0", "y0"): 1})
     bare = (PartialPermutation([[0]]), PartialPermutation([[0]]))
-    assert enum_W(TINY, orbit) == frozenset({bare})
+    before = hash(orbit)
+    W = enum_W(TINY, orbit)
+    assert W == frozenset({bare})
+    # the orbit keeps W, and keeping it changes neither hash nor ==
+    assert enum_W(TINY, orbit) is W
+    assert hash(orbit) == before and orbit == OrbitData(TINY, dict(orbit.laces))
+    with pytest.raises(OrbitError):
+        enum_W(FORK, orbit)
     assert enum_W_by_filter(TINY, orbit) == frozenset({bare})
     # no move sites at all when every dimension is 1
     assert enum_KW(TINY, orbit) == frozenset({bare})

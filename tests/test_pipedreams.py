@@ -1,6 +1,7 @@
 """Pipe dream engine: folds, tracing, enumeration, capacity."""
 
 import doctest
+import gc
 import itertools
 import random
 
@@ -230,6 +231,18 @@ def test_dream_sum_matches_the_subset_oracle():
             assert dream_sum(v, rows, cols, weight, ktheory) == _oracle_sum(
                 dreams, weight, ktheory, goal
             ), (v, rows, cols, ktheory)
+
+
+def test_dream_sum_frees_its_memo_on_return():
+    # a memo left in a reference cycle waits for the cycle collector
+    gc.collect()
+    gc.disable()
+    try:
+        for ktheory in (False, True):
+            dream_sum(RUN_V_OMEGA, 6, 5, _grid_weight(ktheory), ktheory, forced=P_STAR.crosses)
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_one_row_bruhat_check_exhaustive_s5():

@@ -1,10 +1,12 @@
 """Quiver layer: block layout, orbits, Zelevinsky permutations."""
 
 import doctest
+import itertools
 
 import pytest
 
 from qloci import quiver as quiver_mod
+from qloci.factorization import window_grids
 from qloci.perms import PartialPermutation, Perm
 from qloci.pipedreams import PipeDream, enum_pipes, enum_rpipes
 from qloci.poly import s_var, t_var
@@ -36,6 +38,12 @@ from conftest import (
 )
 
 TINY = BipartiteQuiver((1, 1), (1,))
+SMALL_QUIVERS = [
+    BipartiteQuiver(dy, dx)
+    for n in (1, 2)
+    for dy in itertools.product((1, 2), repeat=n + 1)
+    for dx in itertools.product((1, 2), repeat=n)
+]
 
 
 def test_doctests():
@@ -105,6 +113,39 @@ def test_variable_labels(run_quiver):
     assert L.col_var(11) == t_var(2, 2)
     with pytest.raises(ValueError):
         L.row_var(12)
+    with pytest.raises(ValueError):
+        L.col_var(0)
+
+
+def _scanned_var(order, blocks, i):
+    """The variable of row or column i, found by scanning the blocks in order."""
+    for z in order:
+        lo, hi = blocks[z]
+        if lo <= i <= hi:
+            return (t_var if z[0] == "y" else s_var)(int(z[1:]), i - lo + 1)
+    raise AssertionError("%d is off the grid" % i)
+
+
+def test_layout_is_built_once_and_matches_a_block_scan(run_quiver):
+    for quiver in SMALL_QUIVERS + [run_quiver]:
+        L = block_layout(quiver)
+        assert block_layout(quiver) is L
+        span = range(1, quiver.d + 1)
+        assert L.row_vars == tuple(_scanned_var(L.row_order, L.rows, r) for r in span)
+        assert L.col_vars == tuple(_scanned_var(L.col_order, L.cols, c) for c in span)
+        blocks, grids = [], []
+        for k in range(quiver.n, 0, -1):
+            for source in ("y%d" % k, "y%d" % (k - 1)):
+                (rlo, rhi), (clo, chi) = L.rows[source], L.cols["x%d" % k]
+                blocks.append((tuple(range(rlo, rhi + 1)), tuple(range(clo, chi + 1))))
+                grids.append((quiver.dim(source), quiver.dim("x%d" % k)))
+        assert L.windows == tuple(blocks)
+        assert window_grids(quiver) == grids
+        for k in range(1, quiver.n + 1):
+            assert L.beta_block(k) == blocks[2 * (quiver.n - k)]
+            assert L.alpha_block(k) == blocks[2 * (quiver.n - k) + 1]
+        assert L.p_star_dream == PipeDream(quiver.d_y, quiver.d_x, L.p_star)
+        assert L.v_star == L.p_star_dream.demazure() == v_star(quiver)
 
 
 # --- orbits ------------------------------------------------------------
@@ -177,8 +218,16 @@ def test_tiny_quiver_orbits():
     assert v_star(TINY) == Perm.identity()
     assert codim(TINY, dense) == 0
     zero = OrbitData(TINY, {("y1", "y1"): 1, ("x1", "x1"): 1, ("y0", "y0"): 1})
-    assert zelevinsky(TINY, zero) == Perm((2, 3, 1))
+    twin = OrbitData(TINY, dict(zero.laces))
+    before = hash(zero)
+    v = zelevinsky(TINY, zero)
+    assert v == Perm((2, 3, 1))
     assert codim(TINY, zero) == 2
+    # the orbit keeps v; an equal quiver object reads it, another quiver may not
+    assert zelevinsky(BipartiteQuiver((1, 1), (1,)), zero) is v
+    assert hash(zero) == before == hash(twin) and zero == twin
+    with pytest.raises(OrbitError):
+        zelevinsky(BipartiteQuiver((1, 1), (2,)), zero)
 
 
 def test_dense_orbit_dream_is_unique(run_quiver):
