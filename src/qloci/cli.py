@@ -19,8 +19,10 @@ verification failed.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -28,6 +30,7 @@ from pathlib import Path
 from . import lacing as lacing_mod
 from . import pipedreams as pipedreams_mod
 from .factorization import (
+    nw_dreams,
     pipe_fibers,
     seqperm_closure,
     window_grids,
@@ -266,7 +269,7 @@ def _check_component(quiver, orbit):
 def _check_pipe(quiver, orbit):
     layout = block_layout(quiver)
     v = zelevinsky(quiver, orbit)
-    dreams = enum_pipes(v, quiver.d_y, quiver.d_x, forced=layout.p_star)
+    dreams = list(nw_dreams(quiver, orbit))
     for P in dreams:
         if not layout.p_star <= P.crosses:
             return "fail: a dream drops forced cells"
@@ -285,24 +288,17 @@ def _check_pipe(quiver, orbit):
 
 
 def _check_bijections(quiver, orbit):
-    layout = block_layout(quiver)
-    v = zelevinsky(quiver, orbit)
-    rdreams = enum_rpipes(v, quiver.d_y, quiver.d_x, forced=layout.p_star)
     fibers = pipe_fibers(quiver, orbit, reduced=True)
     if set(fibers) != enum_W(quiver, orbit):
         return "fail: reduced fibers miss some minimal diagrams"
+    rdreams = nw_dreams(quiver, orbit, reduced=True)
     if sum(len(part) for part in fibers.values()) != len(rdreams):
         return "fail: reduced fibers do not partition the dreams"
-    dreams = enum_pipes(v, quiver.d_y, quiver.d_x, forced=layout.p_star)
     X = x_omega(quiver, orbit)
     grids = window_grids(quiver)
-    total = 0
-    for tup in X:
-        factor = 1
-        for u, (R, C) in zip(tup, grids):
-            factor *= len(enum_pipes(u, R, C))
-        total += factor
-    if total != len(dreams):
+    count = functools.cache(lambda u, grid: len(enum_pipes(u, *grid)))
+    total = sum(math.prod(map(count, tup, grids)) for tup in X)
+    if total != len(nw_dreams(quiver, orbit)):
         return "fail: window counting identity is off"
     kw = enum_KW(quiver, orbit)
     if {truncate(quiver, tup) for tup in X} != kw or len(X) != len(kw):
@@ -467,8 +463,14 @@ def build_parser():
     return parser
 
 
+_parser = None
+
+
 def main(argv=None):
-    parser = build_parser()
+    global _parser
+    if _parser is None:  # built at the first call, so importing stays cheap
+        _parser = build_parser()
+    parser = _parser
     args = parser.parse_args(argv)
     if args.format == "svg" and args.command != "render":
         parser.error("--format svg only applies to render")

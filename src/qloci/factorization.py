@@ -2,8 +2,8 @@
 
 Each dense region off the snake gives a reduced word of its Demazure
 product, and each tuple component a reduced word pushed to its window
-inside 1..d.  The 0-Hecke monoid is associative, so one Perm.from_word
-fold of the concatenated words is the product of the factors.  Read
+inside 1..d.  The 0-Hecke monoid is associative, so folding the words
+in one after another gives the product of the factors.  Read
 block row by block row or block column by block column, it recovers the
 orbit permutation exactly for the tuples of the set X of the orbit.
 """
@@ -25,6 +25,7 @@ __all__ = [
     "eps_south",
     "factorization_col",
     "factorization_row",
+    "nw_dreams",
     "pipe_fibers",
     "seqperm_closure",
     "shift_constants",
@@ -95,7 +96,10 @@ def theta_east(quiver, k):
 
 
 def _snake_factors(quiver, by_rows):
-    """Factors in product order: a dense region's reduced word, or component index g."""
+    """Factors in product order: a dense region's reduced word, or component index g.
+
+    Either way the components come in the order 2n-1, ..., 1, 0.
+    """
     n = quiver.n
     factors = []
     for k in range(1, n + 1):
@@ -107,31 +111,57 @@ def _snake_factors(quiver, by_rows):
     return [f if isinstance(f, int) else f.reduced_word() for f in factors]
 
 
-def _pushed_word(quiver, g, u):
-    """A reduced word of component g, pushed to its window inside 1..d.
+def _pushed_words(quiver, g, perms):
+    """{u: a reduced word of u pushed to window g inside 1..d} for each u in perms.
 
     beta_k: each letter shifted past b_k.  alpha_k: inverted, rotated in
     its window of size m and shifted past a_k, so reversed, i -> m - i + a_k.
     """
     k = quiver.n - g // 2
     a, b = shift_constants(quiver)[k]
-    word = u.reduced_word()
     if g % 2 == 0:
-        return [i + b for i in word]
+        return {u: [i + b for i in u.reduced_word()] for u in perms}
     m = sum(window_grids(quiver)[g])
-    return [m - i + a for i in reversed(word)]
+    return {u: [m - i + a for i in reversed(u.reduced_word())] for u in perms}
 
 
-def _fold(factors, words):
-    """0-Hecke product of the factors, component g read as words[g]."""
-    return Perm.from_word(
-        i for f in factors for i in (words[f] if isinstance(f, int) else f)
-    )
+def _apply(line, word):
+    """The one-line window `line` with the generators of `word` folded in on the right."""
+    line = list(line)
+    for i in word:
+        if line[i - 1] < line[i]:
+            line[i - 1], line[i] = line[i], line[i - 1]
+    return tuple(line)
+
+
+def _fold(quiver, by_rows, pools):
+    """0-Hecke products of the snake factors over every choice of components.
+
+    pools[g] maps each choice u of component g to its pushed word.  The
+    result maps each product, as a one-line window of size d, to the
+    tuples (u_0, ..., u_{2n-1}) whose product it is.  The fold takes one
+    factor at a time and keeps each distinct line that a prefix of the
+    factors reaches, with the partial tuples that reach it, so tuples
+    that share a prefix fold it once.
+    """
+    lines = {tuple(range(1, quiver.d + 1)): [()]}
+    for f in _snake_factors(quiver, by_rows):
+        reached = {}
+        for line, parts in lines.items():
+            if not isinstance(f, int):
+                reached.setdefault(_apply(line, f), []).extend(parts)
+                continue
+            # components come last to first, so each one goes in front
+            for u, word in pools[f].items():
+                reached.setdefault(_apply(line, word), []).extend((u,) + p for p in parts)
+        lines = reached
+    return lines
 
 
 def _product(quiver, v, by_rows):
-    words = [_pushed_word(quiver, g, u) for g, u in enumerate(v)]
-    return _fold(_snake_factors(quiver, by_rows), words)
+    pools = [_pushed_words(quiver, g, [u]) for g, u in enumerate(v)]
+    (line,) = _fold(quiver, by_rows, pools)
+    return Perm(line)
 
 
 def factorization_row(quiver, v):
@@ -147,41 +177,46 @@ def factorization_col(quiver, v):
 # --- the set X of an orbit --------------------------------------------
 
 
-def _nw_dreams(quiver, orbit, reduced):
-    """The orbit's northwest dreams, all of them or the reduced ones only."""
+def nw_dreams(quiver, orbit, reduced=False):
+    """The orbit's northwest dreams, all of them or the reduced ones only.
+
+    The orbit keeps each list from the first call on.
+    """
+    return orbit.derived(quiver, "_rdreams" if reduced else "_dreams",
+                         partial(_enumerate_nw, reduced=reduced))
+
+
+def _enumerate_nw(quiver, orbit, reduced):
     enum = enum_rpipes if reduced else enum_pipes
     forced = block_layout(quiver).p_star
-    return enum(zelevinsky(quiver, orbit), quiver.d_y, quiver.d_x, forced=forced)
+    return tuple(enum(zelevinsky(quiver, orbit), quiver.d_y, quiver.d_x, forced=forced))
 
 
 def x_omega(quiver, orbit):
     """Completed tuples of every northwest dream of the orbit."""
-    return frozenset(pi(quiver, P) for P in _nw_dreams(quiver, orbit, reduced=False))
+    return frozenset(pi(quiver, P) for P in nw_dreams(quiver, orbit))
 
 
 def x_omega_red(quiver, orbit):
     """Completed tuples of the reduced dreams only."""
-    return frozenset(pi(quiver, P) for P in _nw_dreams(quiver, orbit, reduced=True))
+    return frozenset(pi(quiver, P) for P in nw_dreams(quiver, orbit, reduced=True))
 
 
 def x_omega_by_factorization(quiver, orbit, limit=TUPLE_LIMIT):
-    """Brute filter of all window tuples by the row product; the oracle."""
+    """Brute filter of all window tuples by the row product; the oracle.
+
+    Every window tuple is tried, with no pruning; tuples that share a
+    prefix of factors share its fold.
+    """
     grids = window_grids(quiver)
     total = math.prod(math.factorial(sum(grid)) for grid in grids)
     if total > limit:
         raise CapacityError(
             "%d window tuples exceed the brute budget of %d" % (total, limit)
         )
-    target = zelevinsky(quiver, orbit)
-    factors = _snake_factors(quiver, by_rows=True)
-    pools = [
-        {u: _pushed_word(quiver, g, u) for u in all_perms(sum(grid))}
-        for g, grid in enumerate(grids)
-    ]
-    return frozenset(
-        v for v in itertools.product(*pools)
-        if _fold(factors, [pool[u] for pool, u in zip(pools, v)]) == target
-    )
+    pools = [_pushed_words(quiver, g, all_perms(sum(grid))) for g, grid in enumerate(grids)]
+    target = zelevinsky(quiver, orbit).one_line(quiver.d)
+    return frozenset(_fold(quiver, True, pools).get(target, ()))
 
 
 def seqperm_closure(quiver, seeds):
@@ -192,6 +227,6 @@ def seqperm_closure(quiver, seeds):
 def pipe_fibers(quiver, orbit, reduced=False):
     """The orbit's dreams grouped by traced diagram, as {diagram: dreams}."""
     fibers = {}
-    for P in _nw_dreams(quiver, orbit, reduced):
+    for P in nw_dreams(quiver, orbit, reduced):
         fibers.setdefault(pipes_to_laces(quiver, P), []).append(P)
     return fibers

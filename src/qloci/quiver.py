@@ -193,11 +193,12 @@ class OrbitData:
     """Lace multiplicities of an orbit: (left vertex, right vertex) -> count.
 
     Vertex saturation must hold: the laces whose span covers a vertex z,
-    endpoints included, number exactly dim(z).  The orbit keeps v(orbit)
-    and its minimal diagrams W once computed; neither enters == or hash.
+    endpoints included, number exactly dim(z).  The orbit keeps v(orbit),
+    its minimal diagrams W and its reduced and full northwest dream lists
+    once computed; none of them enters == or hash.
     """
 
-    __slots__ = ("quiver", "laces", "_v", "_w")
+    __slots__ = ("quiver", "laces", "_v", "_w", "_rdreams", "_dreams")
 
     def __init__(self, quiver, laces):
         ends = quiver.vertices()
@@ -214,8 +215,8 @@ class OrbitData:
                 clean[(left, right)] = int(mult)
         object.__setattr__(self, "quiver", quiver)
         object.__setattr__(self, "laces", clean)
-        object.__setattr__(self, "_v", None)
-        object.__setattr__(self, "_w", None)
+        for slot in ("_v", "_w", "_rdreams", "_dreams"):
+            object.__setattr__(self, slot, None)
         for z in ends:
             have = self.laces_through(z)
             if have != quiver.dim(z):
@@ -394,12 +395,19 @@ def _expect(kind, value, what):
     return value
 
 
+def _integer(value, what):
+    """`value` if it is a JSON integer (true and false are not), else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError("%s must be a JSON integer, not %r" % (what, value))
+    return value
+
+
 def quiver_from_json(obj):
     """Build (quiver, orbit) from the CLI input schema."""
     try:
-        n = int(obj["n"])
-        dy = [int(a) for a in _expect(list, obj["dy"], "dy")]
-        dx = [int(a) for a in _expect(list, obj["dx"], "dx")]
+        n = _integer(obj["n"], "n")
+        dy = [_integer(a, "dy") for a in _expect(list, obj["dy"], "dy")]
+        dx = [_integer(a, "dx") for a in _expect(list, obj["dx"], "dx")]
     except (KeyError, TypeError, ValueError) as err:
         raise ValueError("input needs integer n and lists dy, dx: %s" % err)
     if n != len(dx):
@@ -420,7 +428,7 @@ def quiver_from_json(obj):
             laces = {}
             for key, mult in _expect(dict, entry["multiplicities"], "'multiplicities'").items():
                 left, _, right = key.partition(",")
-                laces[(left.strip(), right.strip())] = int(mult)
+                laces[(left.strip(), right.strip())] = _integer(mult, "a multiplicity")
             by_mult = OrbitData(quiver, laces)
             if orbit is not None and orbit.laces != by_mult.laces:
                 raise ValueError("'lacing' and 'multiplicities' disagree")

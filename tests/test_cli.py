@@ -1,5 +1,6 @@
 """Front end: output contracts, exit codes, determinism."""
 
+import gc
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ from conftest import P_STAR_CELLS, RUN_W_MIN
 import pytest
 
 import qloci
+from qloci import cli, pipedreams
 from qloci.cli import main
 
 RUN_INPUT = {
@@ -229,6 +231,44 @@ def test_verify_reports_are_identical_across_jobs(capsys):
     assert out1 == out2
 
 
+FORK_INPUT = {
+    "n": 1,
+    "dy": [1, 2],
+    "dx": [2],
+    "orbit": {"multiplicities": {"y1,y0": 1, "y1,x1": 1}},
+}
+
+
+def _one_more_dream(u, rows, cols, **kw):
+    return [None] + pipedreams.enum_pipes(u, rows, cols, **kw)
+
+
+@pytest.mark.parametrize(
+    "name, fake, reason",
+    [
+        ("enum_W", lambda q, o: frozenset(), "reduced fibers miss some minimal diagrams"),
+        ("enum_pipes", _one_more_dream, "window counting identity is off"),
+        ("enum_KW", lambda q, o: frozenset(),
+         "truncation is not a bijection onto the K-diagrams"),
+        ("truncate", lambda q, tup: tup, "truncation is not a bijection onto the K-diagrams"),
+        ("seqperm_closure", lambda q, seeds: frozenset(),
+         "move closure misses part of the window set"),
+        ("x_omega_by_factorization", lambda q, o: frozenset(),
+         "factorization filter disagrees"),
+    ],
+    ids=["fibers", "window-count", "kw", "truncate", "move-closure", "brute-filter"],
+)
+def test_every_bijection_comparison_can_fail(tmp_path, capsys, monkeypatch, name, fake, reason):
+    argv = ["verify", "--suite", "bijections", "--input", _write(tmp_path, FORK_INPUT)]
+    code, out = _run(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["instances"][0]["checks"] == {"bijections": "pass"}
+    monkeypatch.setattr(cli, name, fake)
+    code, out = _run(capsys, argv)
+    assert code == 4
+    assert json.loads(out)["instances"][0]["checks"] == {"bijections": "fail: " + reason}
+
+
 # --- render ------------------------------------------------------------
 
 
@@ -303,9 +343,15 @@ def _tiny(**orbit):
         _tiny(multiplicities={"q1,q0": 1}),
         _tiny(multiplicities={"y1,x0": 1}),
         dict(TINY_LACING_INPUT, dy="11"),
+        _tiny(multiplicities={"y1,y0": 1.7}),
+        dict(TINY_LACING_INPUT, n=1.5),
+        dict(TINY_LACING_INPUT, n=True),
+        dict(TINY_LACING_INPUT, dy=[1.9, 1]),
+        dict(TINY_LACING_INPUT, dx=[1.0]),
     ],
     ids=["no-comma", "lacing-int", "matrix-int", "multiplicities-list",
-         "family-q", "families-q", "vertex-x0", "dy-string"],
+         "family-q", "families-q", "vertex-x0", "dy-string",
+         "multiplicity-float", "n-float", "n-true", "dy-float", "dx-float"],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, command, bad):
     code = main([command, "--input", _write(tmp_path, bad)])
@@ -340,6 +386,57 @@ def test_svg_is_for_render_only(tmp_path, capsys):
         main(["enumerate", "--input", path, "--set", "rpipes", "--format", "svg"])
     assert err.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (["verify", "--suite", "pipe"], ["verify", "--suite", "codim"]),
+        (["enumerate", "--set", "rpipes", "--capacity", "5"], ["enumerate", "--set", "rpipes"]),
+        (["zelevinsky", "--format", "json"], ["zelevinsky"]),
+    ],
+    ids=["suite", "capacity", "format"],
+)
+def test_the_kept_parser_carries_nothing_between_calls(
+    tmp_path, capsys, monkeypatch, first, second
+):
+    monkeypatch.delenv(pipedreams.CAPACITY_ENV, raising=False)
+    path = _write(tmp_path, RUN_INPUT)
+    calls = [argv + ["--input", path] for argv in (first, second)]
+    alone = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_parser", None)
+        alone.append(_run(capsys, argv))
+    monkeypatch.setattr(cli, "_parser", None)
+    in_turn = [_run(capsys, argv) for argv in calls]
+    assert in_turn == alone
+    assert pipedreams.CAPACITY_ENV not in os.environ
+    if "--capacity" in first:
+        assert [code for code, _ in in_turn] == [3, 0]
+
+
+def test_a_warm_call_leaves_no_argparse_objects_to_the_collector(tmp_path, capsys):
+    argvs = [
+        ["zelevinsky", "--format", "json"],
+        ["verify", "--suite", "pipe"],
+        ["verify", "--suite", "bijections"],
+    ]
+    path = _write(tmp_path, FORK_INPUT)
+    for argv in argvs:
+        main(argv + ["--input", path])
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for argv in argvs:
+            main(argv + ["--input", path])
+        gc.collect()
+        left = [o for o in gc.garbage if "argparse" in (
+            type(o).__module__, getattr(o, "__module__", None))]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    capsys.readouterr()
+    assert left == []
 
 
 def _child_env():

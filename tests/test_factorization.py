@@ -17,6 +17,7 @@ import pytest
 
 from qloci import factorization as factorization_mod
 from qloci.factorization import (
+    TUPLE_LIMIT,
     eps_north,
     eps_south,
     factorization_col,
@@ -155,7 +156,51 @@ def test_x_omega_matches_the_brute_filter():
             assert x_omega(quiver, orbit) == x_omega_by_factorization(quiver, orbit)
 
 
-def test_brute_filter_refuses_the_running_example(run_quiver, run_orbit):
+def _quivers_within_the_tuple_limit():
+    for n in (1, 2):
+        for dy in itertools.product((1, 2), repeat=n + 1):
+            for dx in itertools.product((1, 2), repeat=n):
+                quiver = BipartiteQuiver(dy, dx)
+                tuples = math.prod(math.factorial(sum(g)) for g in window_grids(quiver))
+                if tuples <= TUPLE_LIMIT:
+                    yield quiver
+
+
+def _filter_by_whole_words(quiver):
+    """The brute filter by its definition, as {product: tuples}.
+
+    Each window tuple's pushed words go after the dense regions' words in
+    snake order, and one Perm.from_word folds the whole word.
+    """
+    factors = factorization_mod._snake_factors(quiver, by_rows=True)
+    pushed = [
+        factorization_mod._pushed_words(quiver, g, all_perms(sum(grid)))
+        for g, grid in enumerate(window_grids(quiver))
+    ]
+    out = {}
+    for v in itertools.product(*pushed):
+        word = [i for f in factors for i in (pushed[f][v[f]] if isinstance(f, int) else f)]
+        out.setdefault(Perm.from_word(word), set()).add(v)
+    return out
+
+
+def test_prefix_shared_filter_matches_the_whole_word_filter():
+    quivers = list(_quivers_within_the_tuple_limit())
+    assert len(quivers) == 27
+    for quiver in quivers:
+        by_product = _filter_by_whole_words(quiver)
+        for orbit in all_orbits(quiver):
+            found = x_omega_by_factorization(quiver, orbit)
+            assert found
+            assert found == by_product[zelevinsky(quiver, orbit)]
+
+
+def test_brute_filter_refuses_the_running_example(run_quiver, run_orbit, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("a pool was built or folded before the refusal")
+
+    monkeypatch.setattr(factorization_mod, "_pushed_words", no_work)
+    monkeypatch.setattr(factorization_mod, "_fold", no_work)
     with pytest.raises(CapacityError):
         x_omega_by_factorization(run_quiver, run_orbit)
 
