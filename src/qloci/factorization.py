@@ -1,7 +1,7 @@
 """Factoring an orbit's permutation along the snake, as one 0-Hecke word.
 
-Each dense region off the snake gives a reduced word of its Demazure
-product, and each tuple component a reduced word pushed to its window
+Each dense block of the quiver's layout off the snake gives its reading
+word, and each tuple component a reduced word pushed to its window
 inside 1..d.  The 0-Hecke monoid is associative, so folding the words
 in one after another gives the product of the factors.  Read
 block row by block row or block column by block column, it recovers the
@@ -10,27 +10,21 @@ orbit permutation exactly for the tuples of the set X of the orbit.
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import partial
 
 from .lacing import _closure, pi, pipes_to_laces, seqperm_neighbors
 from .perms import Perm, all_perms
-from .pipedreams import CapacityError, PipeDream, enum_pipes, enum_rpipes
+from .pipedreams import CapacityError, enum_pipes, enum_rpipes
 from .quiver import block_layout, zelevinsky
 
 __all__ = [
     "TUPLE_LIMIT",
-    "eps_north",
-    "eps_south",
     "factorization_col",
     "factorization_row",
     "nw_dreams",
     "pipe_fibers",
     "seqperm_closure",
-    "shift_constants",
-    "theta_east",
-    "theta_west",
     "window_grids",
     "x_omega",
     "x_omega_by_factorization",
@@ -38,20 +32,6 @@ __all__ = [
 ]
 
 TUPLE_LIMIT = 5000
-
-
-def shift_constants(quiver):
-    """Window offsets (a_k, b_k) keyed by k.
-
-    >>> from .quiver import BipartiteQuiver
-    >>> shift_constants(BipartiteQuiver((1, 1), (1,)))
-    {1: (0, 1)}
-    """
-    out = {}
-    for k in range(1, quiver.n + 1):
-        tail = sum(quiver.dx[k:])
-        out[k] = (tail + sum(quiver.dy[: k - 1]), tail + sum(quiver.dy[:k]))
-    return out
 
 
 def window_grids(quiver):
@@ -64,65 +44,45 @@ def window_grids(quiver):
     return [(len(rows), len(cols)) for rows, cols in block_layout(quiver).windows]
 
 
-def _delta(quiver, row_names, col_names):
-    layout = block_layout(quiver)
-    rows = [r for z in row_names for r in range(layout.rows[z][0], layout.rows[z][1] + 1)]
-    cols = [c for z in col_names for c in range(layout.cols[z][0], layout.cols[z][1] + 1)]
-    return PipeDream(quiver.d, quiver.d, itertools.product(rows, cols)).demazure()
-
-
-def eps_north(quiver, k):
-    """Dense region above the snake in block column x_k: rows y_0..y_{k-2}."""
-    return _delta(quiver, ["y%d" % i for i in range(k - 1)], ["x%d" % k])
-
-
-def eps_south(quiver, k):
-    """Dense region below the snake in block column x_k: rows y_{k+1}..y_n."""
-    return _delta(
-        quiver, ["y%d" % i for i in range(k + 1, quiver.n + 1)], ["x%d" % k]
-    )
-
-
-def theta_west(quiver, k):
-    """Dense region left of the snake in block row y_{k-1}: columns x_n..x_{k+1}."""
-    return _delta(
-        quiver, ["y%d" % (k - 1)], ["x%d" % i for i in range(quiver.n, k, -1)]
-    )
-
-
-def theta_east(quiver, k):
-    """Dense region right of the snake in block row y_k: columns x_{k-1}..x_1."""
-    return _delta(quiver, ["y%d" % k], ["x%d" % i for i in range(k - 1, 0, -1)])
-
-
 def _snake_factors(quiver, by_rows):
-    """Factors in product order: a dense region's reduced word, or component index g.
+    """Factors in product order: a dense block's reading word, or component index g.
 
-    Either way the components come in the order 2n-1, ..., 1, 0.
+    The blocks (y_i, x_k) of the northwest corner come block column x_1,
+    x_2, ... each top to bottom, or block row y_0, y_1, ... each right to
+    left.  Block (y_k, x_k) is the window of beta_k, g = 2(n-k), and
+    (y_{k-1}, x_k) that of alpha_k, g = 2(n-k)+1; either way the
+    components come in the order 2n-1, ..., 1, 0.
     """
-    n = quiver.n
+    n, layout = quiver.n, block_layout(quiver)
+    if by_rows:
+        blocks = [(i, k) for k in range(1, n + 1) for i in range(n + 1)]
+    else:
+        blocks = [(i, k) for i in range(n + 1) for k in range(1, n + 1)]
     factors = []
-    for k in range(1, n + 1):
-        alpha, beta = 2 * (n - k) + 1, 2 * (n - k)
-        if by_rows:
-            factors += [eps_north(quiver, k), alpha, beta, eps_south(quiver, k)]
+    for i, k in blocks:
+        if i == k:
+            factors.append(2 * (n - k))
+        elif i == k - 1:
+            factors.append(2 * (n - k) + 1)
         else:
-            factors += [alpha, theta_west(quiver, k), theta_east(quiver, k), beta]
-    return [f if isinstance(f, int) else f.reduced_word() for f in factors]
+            (r0, r1), (c0, c1) = layout.rows["y%d" % i], layout.cols["x%d" % k]
+            factors.append([r + c - 1 for r in range(r0, r1 + 1) for c in range(c1, c0 - 1, -1)])
+    return factors
 
 
 def _pushed_words(quiver, g, perms):
     """{u: a reduced word of u pushed to window g inside 1..d} for each u in perms.
 
-    beta_k: each letter shifted past b_k.  alpha_k: inverted, rotated in
-    its window of size m and shifted past a_k, so reversed, i -> m - i + a_k.
+    The window's block spans rows r0..r1 and columns c0..c1 of the layout.
+    beta_k: each letter i -> i + r0 + c0 - 2.  alpha_k: inverted and
+    rotated in its window, so the word reversed and i -> r1 + c1 - i.
     """
     k = quiver.n - g // 2
-    a, b = shift_constants(quiver)[k]
+    layout = block_layout(quiver)
+    (r0, r1), (c0, c1) = layout.rows["y%d" % (k - g % 2)], layout.cols["x%d" % k]
     if g % 2 == 0:
-        return {u: [i + b for i in u.reduced_word()] for u in perms}
-    m = sum(window_grids(quiver)[g])
-    return {u: [m - i + a for i in reversed(u.reduced_word())] for u in perms}
+        return {u: [i + r0 + c0 - 2 for i in u.reduced_word()] for u in perms}
+    return {u: [r1 + c1 - i for i in reversed(u.reduced_word())] for u in perms}
 
 
 def _apply(line, word):

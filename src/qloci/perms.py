@@ -121,9 +121,6 @@ class Perm:
         w = self.window
         return sum(1 for i, j in itertools.combinations(range(len(w)), 2) if w[i] > w[j])
 
-    def ascent_at(self, i: int) -> bool:
-        return self(i) < self(i + 1)
-
     def matrix(self, m: int) -> tuple[tuple[int, ...], ...]:
         """0/1 permutation matrix on an m x m grid, rows map to columns."""
         line = self.one_line(m)

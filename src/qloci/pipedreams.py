@@ -233,18 +233,6 @@ def _letter_can_occur(target, i):
     return any(target(a) > i for a in range(1, i + 1))
 
 
-def _reading_cells(rows, cols, cells, forced, target):
-    chosen = set(cells if cells is not None else _grid_cells(rows, cols))
-    chosen |= set(forced)
-    usable = []
-    for cell in _grid_cells(rows, cols):
-        if cell not in chosen:
-            continue
-        if cell in forced or _letter_can_occur(target, cell[0] + cell[1] - 1):
-            usable.append(cell)
-    return usable
-
-
 class _Walk:
     """The reading-order search behind every enumeration and every sum.
 
@@ -260,10 +248,11 @@ class _Walk:
 
     __slots__ = ("order", "letters", "optional", "goal", "ceilings", "start", "ktheory")
 
-    def __init__(self, v, rows, cols, cells, forced, ktheory):
+    def __init__(self, v, rows, cols, forced, ktheory):
         target = _target_of(v)
         forced = frozenset(forced)
-        self.order = _reading_cells(rows, cols, cells, forced, target)
+        self.order = [cell for cell in _grid_cells(rows, cols)
+                      if cell in forced or _letter_can_occur(target, cell[0] + cell[1] - 1)]
         self.letters = [r + c - 1 for r, c in self.order]
         self.optional = [cell not in forced for cell in self.order]
         self.goal = target.length()
@@ -293,14 +282,13 @@ class _Walk:
         return out
 
 
-def iter_dreams(v, rows, cols, cells=None, forced=(), ktheory=False):
+def iter_dreams(v, rows, cols, forced=(), ktheory=False):
     """Dreams for the completion of v in the walk's depth-first order.
 
-    Reduced dreams only, or every dream when `ktheory` is set.  `cells`
-    limits where optional crosses may sit; `forced` crosses are present
-    in every dream.
+    Reduced dreams only, or every dream when `ktheory` is set.  `forced`
+    crosses are present in every dream.
     """
-    walk = _Walk(v, rows, cols, cells, forced, ktheory)
+    walk = _Walk(v, rows, cols, forced, ktheory)
     if walk.ceilings is None:
         return
     n = len(walk.order)
@@ -315,21 +303,20 @@ def iter_dreams(v, rows, cols, cells=None, forced=(), ktheory=False):
             stack.append((i + 1, line2, length2, taken + (walk.order[i],) if sign else taken))
 
 
-def enum_rpipes(v, rows, cols, cells=None, forced=()):
+def enum_rpipes(v, rows, cols, forced=()):
     """All reduced pipe dreams for the completion of v on the given grid.
 
-    `cells` limits where optional crosses may sit; `forced` crosses are
-    present in every dream.  Returns a sorted list.
+    `forced` crosses are present in every dream.  Returns a sorted list.
 
     >>> enum_rpipes(Perm.tau(1), 2, 2)
     [PipeDream(2, 2, [(1, 1)])]
     >>> enum_rpipes(Perm.identity(), 3, 2)
     [PipeDream(3, 2, [])]
     """
-    return sorted(iter_dreams(v, rows, cols, cells, forced))
+    return sorted(iter_dreams(v, rows, cols, forced))
 
 
-def enum_pipes(v, rows, cols, cells=None, forced=()):
+def enum_pipes(v, rows, cols, forced=()):
     """All pipe dreams with Demazure product the completion of v.
 
     The same walk as enum_rpipes, with non-ascent crosses allowed.
@@ -340,7 +327,7 @@ def enum_pipes(v, rows, cols, cells=None, forced=()):
     >>> enum_pipes(Perm.tau(1), 2, 2)
     [PipeDream(2, 2, [(1, 1)])]
     """
-    return sorted(iter_dreams(v, rows, cols, cells, forced, ktheory=True))
+    return sorted(iter_dreams(v, rows, cols, forced, ktheory=True))
 
 
 def dream_sum(v, rows, cols, weight, ktheory, forced=()):
@@ -361,7 +348,7 @@ def dream_sum(v, rows, cols, weight, ktheory, forced=()):
     >>> print(dream_sum(Perm.tau(1), 1, 1, w, ktheory=False))
     -1*s1_1 + 1*t0_1
     """
-    walk = _Walk(v, rows, cols, None, forced, ktheory)
+    walk = _Walk(v, rows, cols, forced, ktheory)
     one, zero = LaurentPoly.one(), LaurentPoly.zero()
     if walk.ceilings is None:
         return zero
@@ -402,7 +389,9 @@ def enum_pipes_by_subsets(v, rows, cols, cells=None, forced=()):
     An exact search over the subsets of the free cells that shares
     nothing with the walk: no Bruhat order, no prefix ceilings, no
     length prune; a subset is kept when its 0-Hecke product is the
-    target.  Backward from the target's one-line window, alive[k] holds
+    target.  The one length check comes first: a target longer than
+    the forced and optional cells together has no dream, and gets []
+    before any live set is built.  Backward from the target's one-line window, alive[k] holds
     the lines from which cells k, k+1, ... of the reading order can
     still end at the target.  A cross with letter j always leaves a
     descent at j, so a line with a descent at j is reached by crossing,
@@ -428,7 +417,7 @@ def enum_pipes_by_subsets(v, rows, cols, cells=None, forced=()):
             % (free, capacity_limit())
         )
     m = rows + cols
-    if target.size > m:
+    if target.size > m or target.length() > len(order):
         return []
     alive = [{target.one_line(m)}]
     for _, j, optional in reversed(order):

@@ -134,13 +134,6 @@ class BlockLayout:
     def __setattr__(self, name, value):
         raise AttributeError("BlockLayout is immutable")
 
-    def alpha_block(self, k):
-        """Cells of the alpha_k block: rows y_{k-1}, columns x_k."""
-        return self.windows[len(self.windows) - 2 * k + 1]
-
-    def beta_block(self, k):
-        return self.windows[len(self.windows) - 2 * k]
-
     def row_var(self, r):
         """t^i_a for a row in block y_i, s^j_b for one in block x_j."""
         if not 1 <= r <= len(self.row_vars):

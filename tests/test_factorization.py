@@ -1,6 +1,5 @@
 """Snake factorizations, the sets X, and the pipe dream fibers."""
 
-import doctest
 import itertools
 import math
 
@@ -18,15 +17,10 @@ import pytest
 from qloci import factorization as factorization_mod
 from qloci.factorization import (
     TUPLE_LIMIT,
-    eps_north,
-    eps_south,
     factorization_col,
     factorization_row,
     pipe_fibers,
     seqperm_closure,
-    shift_constants,
-    theta_east,
-    theta_west,
     window_grids,
     x_omega,
     x_omega_by_factorization,
@@ -51,28 +45,9 @@ TINY = BipartiteQuiver((1, 1), (1,))
 FORK = BipartiteQuiver((1, 2), (2,))
 BRIDGE = BipartiteQuiver((1, 2, 1), (1, 1))
 WIDE = BipartiteQuiver((2, 1), (1,))   # two-dimensional rightmost source
+HOLLOW = BipartiteQuiver((1, 0, 1), (2, 1))   # empty middle source: empty windows
 
-SMALL = (TINY, FORK, BRIDGE, WIDE)
-
-
-def test_doctests():
-    failed, _ = doctest.testmod(factorization_mod)
-    assert failed == 0
-
-
-def test_shift_constants_running(run_quiver):
-    assert shift_constants(run_quiver) == {1: (3, 4), 2: (1, 4)}
-
-
-def test_boundary_dense_factors(run_quiver):
-    assert eps_north(run_quiver, 1) == Perm.identity()
-    assert theta_east(run_quiver, 1) == Perm.identity()
-    assert eps_south(run_quiver, 2) == Perm.identity()
-    assert theta_west(run_quiver, 2) == Perm.identity()
-    # the two dense corner regions of the northwest grid, from either sweep
-    assert eps_north(run_quiver, 2) == theta_west(run_quiver, 1)
-    assert eps_south(run_quiver, 1) == theta_east(run_quiver, 2)
-    assert eps_north(run_quiver, 2) != Perm.identity()
+SMALL = (TINY, FORK, BRIDGE, WIDE, HOLLOW)
 
 
 def test_frozen_diagrams_factor_to_the_orbit_permutation(run_quiver):
@@ -99,41 +74,45 @@ def test_row_equals_col_on_every_window_tuple():
             assert factorization_row(quiver, v) == factorization_col(quiver, v)
 
 
-def _dense(quiver, row_blocks, col_blocks):
-    """Demazure product of a d x d dream crossed on the given blocks."""
-    layout = block_layout(quiver)
+def _dense(quiver, ys, xs):
+    """Demazure product of a d x d dream crossed on rows y_i, i in ys, and columns x_k, k in xs.
+
+    Rows y_0..y_n run top to bottom and columns x_n..x_1 left to right;
+    the spans come from the dimensions alone, not from the block layout.
+    """
+    dy, dx = quiver.dy, quiver.dx
     cells = [
         (r, c)
-        for zr in row_blocks
-        for zc in col_blocks
-        for r in range(layout.rows[zr][0], layout.rows[zr][1] + 1)
-        for c in range(layout.cols[zc][0], layout.cols[zc][1] + 1)
+        for i in ys
+        for k in xs
+        for r in range(sum(dy[:i]) + 1, sum(dy[:i + 1]) + 1)
+        for c in range(sum(dx[k:]) + 1, sum(dx[k - 1:]) + 1)
     ]
     return PipeDream(quiver.d, quiver.d, cells).demazure()
 
 
 def _hecke_reference(quiver, v):
-    """Row and column products folded factor by factor with Perm.hecke."""
-    n, shifts = quiver.n, shift_constants(quiver)
-    ys = lambda ks: ["y%d" % i for i in ks]
-    xs = lambda ks: ["x%d" % i for i in ks]
+    """Row and column products folded factor by factor with Perm.hecke, each dense region whole."""
+    n = quiver.n
     row = col = Perm.identity()
     for k in range(1, n + 1):
-        a, b = shifts[k]
+        # alpha_k's window starts past a rows and columns, beta_k's past b
+        tail = sum(quiver.dx[k:])
+        a, b = tail + sum(quiver.dy[:k - 1]), tail + sum(quiver.dy[:k])
         m = quiver.dim("y%d" % (k - 1)) + quiver.dim("x%d" % k)
         alpha = v[2 * (n - k) + 1].inverse().rotated(m).shifted(a)
         beta = v[2 * (n - k)].shifted(b)
         for factor in (
-            _dense(quiver, ys(range(k - 1)), ["x%d" % k]),
+            _dense(quiver, range(k - 1), [k]),
             alpha,
             beta,
-            _dense(quiver, ys(range(k + 1, n + 1)), ["x%d" % k]),
+            _dense(quiver, range(k + 1, n + 1), [k]),
         ):
             row = row.hecke(factor)
         for factor in (
             alpha,
-            _dense(quiver, ["y%d" % (k - 1)], xs(range(n, k, -1))),
-            _dense(quiver, ["y%d" % k], xs(range(k - 1, 0, -1))),
+            _dense(quiver, [k - 1], range(n, k, -1)),
+            _dense(quiver, [k], range(k - 1, 0, -1)),
             beta,
         ):
             col = col.hecke(factor)

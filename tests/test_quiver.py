@@ -1,11 +1,9 @@
 """Quiver layer: block layout, orbits, Zelevinsky permutations."""
 
-import doctest
 import itertools
 
 import pytest
 
-from qloci import quiver as quiver_mod
 from qloci.factorization import window_grids
 from qloci.perms import PartialPermutation, Perm
 from qloci.pipedreams import PipeDream, enum_pipes, enum_rpipes
@@ -46,11 +44,6 @@ SMALL_QUIVERS = [
 ]
 
 
-def test_doctests():
-    failed, _ = doctest.testmod(quiver_mod)
-    assert failed == 0
-
-
 def test_quiver_validation():
     with pytest.raises(ValueError):
         BipartiteQuiver((1, 1), ())
@@ -81,10 +74,13 @@ def test_block_layout_running_example(run_quiver):
     }
     assert L.snake == SNAKE_CELLS
     assert L.p_star == P_STAR_CELLS
-    assert L.beta_block(2) == ((5, 6), (1, 2, 3))
-    assert L.alpha_block(2) == ((2, 3, 4), (1, 2, 3))
-    assert L.beta_block(1) == ((2, 3, 4), (4, 5))
-    assert L.alpha_block(1) == ((1,), (4, 5))
+    # beta_2, alpha_2, beta_1, alpha_1
+    assert L.windows == (
+        ((5, 6), (1, 2, 3)),
+        ((2, 3, 4), (1, 2, 3)),
+        ((2, 3, 4), (4, 5)),
+        ((1,), (4, 5)),
+    )
 
 
 def test_block_layout_tiny():
@@ -141,9 +137,6 @@ def test_layout_is_built_once_and_matches_a_block_scan(run_quiver):
                 grids.append((quiver.dim(source), quiver.dim("x%d" % k)))
         assert L.windows == tuple(blocks)
         assert window_grids(quiver) == grids
-        for k in range(1, quiver.n + 1):
-            assert L.beta_block(k) == blocks[2 * (quiver.n - k)]
-            assert L.alpha_block(k) == blocks[2 * (quiver.n - k) + 1]
         assert L.p_star_dream == PipeDream(quiver.d_y, quiver.d_x, L.p_star)
         assert L.v_star == L.p_star_dream.demazure() == v_star(quiver)
 
@@ -233,20 +226,18 @@ def test_tiny_quiver_orbits():
 def test_dense_orbit_dream_is_unique(run_quiver):
     # the only northwest dream with product v_* is the snake complement
     L = block_layout(run_quiver)
-    nw = {(r, c) for r in range(1, 7) for c in range(1, 6)}
-    dreams = enum_pipes(RUN_V_STAR, 6, 5, cells=nw)
+    dreams = enum_pipes(RUN_V_STAR, 6, 5)
     assert dreams == [P_STAR]
     assert L.p_star == P_STAR.crosses
 
 
 def test_every_northwest_dream_contains_p_star(run_quiver):
-    nw = {(r, c) for r in range(1, 7) for c in range(1, 6)}
-    unforced = enum_rpipes(RUN_V_OMEGA, 6, 5, cells=nw)
-    forced = enum_rpipes(RUN_V_OMEGA, 6, 5, cells=SNAKE_CELLS, forced=P_STAR_CELLS)
+    unforced = enum_rpipes(RUN_V_OMEGA, 6, 5)
+    forced = enum_rpipes(RUN_V_OMEGA, 6, 5, forced=P_STAR_CELLS)
     assert unforced == forced
     assert all(P_STAR_CELLS <= P.crosses for P in unforced)
-    unforced_p = enum_pipes(RUN_V_OMEGA, 6, 5, cells=nw)
-    forced_p = enum_pipes(RUN_V_OMEGA, 6, 5, cells=SNAKE_CELLS, forced=P_STAR_CELLS)
+    unforced_p = enum_pipes(RUN_V_OMEGA, 6, 5)
+    forced_p = enum_pipes(RUN_V_OMEGA, 6, 5, forced=P_STAR_CELLS)
     assert unforced_p == forced_p
     assert len(unforced) == 15
     assert len(unforced_p) == 129
