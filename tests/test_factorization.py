@@ -1,5 +1,6 @@
 """Snake factorizations, the sets X, and the pipe dream fibers."""
 
+import doctest
 import itertools
 import math
 
@@ -48,6 +49,11 @@ WIDE = BipartiteQuiver((2, 1), (1,))   # two-dimensional rightmost source
 HOLLOW = BipartiteQuiver((1, 0, 1), (2, 1))   # empty middle source: empty windows
 
 SMALL = (TINY, FORK, BRIDGE, WIDE, HOLLOW)
+
+
+def test_doctests():
+    failed, _ = doctest.testmod(factorization_mod)
+    assert failed == 0
 
 
 def test_frozen_diagrams_factor_to_the_orbit_permutation(run_quiver):

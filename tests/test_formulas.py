@@ -1,5 +1,6 @@
 """Formula families: micro examples, lemma-level sums, main identities."""
 
+import doctest
 import functools
 import itertools
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
+from qloci import formulas as formulas_mod
 from qloci.factorization import pipe_fibers
 from qloci.formulas import (
     grothendieck,
@@ -32,6 +34,11 @@ from test_factorization import SMALL, TINY, orbit_of_dense
 
 def _v(var):
     return LaurentPoly.variable(var)
+
+
+def test_doctests():
+    failed, _ = doctest.testmod(formulas_mod)
+    assert failed == 0
 
 
 # --- single factors ----------------------------------------------------

@@ -1,5 +1,6 @@
 """Lacing diagrams: completion, crossings, minimality, moves, W and KW."""
 
+import doctest
 import itertools
 
 from conftest import (
@@ -16,6 +17,7 @@ from conftest import (
 )
 import pytest
 
+from qloci import lacing as lacing_mod
 from qloci.lacing import (
     all_diagrams,
     all_orbits,
@@ -60,6 +62,11 @@ RUN_W_INT_A = (RUN_W_K5[0], RUN_W_MIN[1], RUN_W_K3[2], RUN_W_MIN[3])
 RUN_W_INT_B = (RUN_W_MIN[0], RUN_W_MIN[1], RUN_W_K5[2], RUN_W_MIN[3])
 
 ID4 = (Perm.identity(),) * 4
+
+
+def test_doctests():
+    failed, _ = doctest.testmod(lacing_mod)
+    assert failed == 0
 
 
 # --- extend / truncate -------------------------------------------------

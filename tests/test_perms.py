@@ -1,11 +1,13 @@
 """Permutation layer: examples pinned by hand plus brute-force oracles."""
 
+import doctest
 import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qloci import perms
 from qloci.perms import PartialPermutation, Perm, all_perms
 
 
@@ -26,6 +28,11 @@ def all_partial_perms(rows, cols):
 perm_strategy = st.integers(1, 7).flatmap(
     lambda m: st.permutations(list(range(1, m + 1))).map(Perm)
 )
+
+
+def test_doctests():
+    failed, _ = doctest.testmod(perms)
+    assert failed == 0
 
 
 # --- lengths -----------------------------------------------------------

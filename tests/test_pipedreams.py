@@ -1,5 +1,6 @@
 """Pipe dream engine: folds, tracing, enumeration, capacity."""
 
+import doctest
 import gc
 import itertools
 import random
@@ -7,6 +8,7 @@ import tracemalloc
 
 import pytest
 
+from qloci import pipedreams
 from qloci.perms import PartialPermutation, Perm, all_perms, prefix_ceilings, row_leq
 from qloci.pipedreams import (
     CapacityError,
@@ -43,6 +45,11 @@ def all_partial_perms(rows, cols):
         for rset in itertools.combinations(range(1, rows + 1), k):
             for cperm in itertools.permutations(range(1, cols + 1), k):
                 yield PartialPermutation.from_pairs(rows, cols, list(zip(rset, cperm)))
+
+
+def test_doctests():
+    failed, _ = doctest.testmod(pipedreams)
+    assert failed == 0
 
 
 # --- Demazure products -------------------------------------------------

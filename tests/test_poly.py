@@ -1,5 +1,6 @@
 """Laurent polynomial layer: ring axioms and evaluation cross-checks."""
 
+import doctest
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qloci import poly
 from qloci.poly import LaurentPoly, cross_weight, s_var, t_var
 
 T = t_var(0, 1)
@@ -28,6 +30,11 @@ poly_strategy = st.dictionaries(
 
 def random_point(rng):
     return {v: Fraction(rng.randint(1, 97), rng.randint(1, 13)) for v in VARS}
+
+
+def test_doctests():
+    failed, _ = doctest.testmod(poly)
+    assert failed == 0
 
 
 def test_unit_laws():

@@ -1,9 +1,11 @@
 """Quiver layer: block layout, orbits, Zelevinsky permutations."""
 
+import doctest
 import itertools
 
 import pytest
 
+from qloci import quiver as quiver_mod
 from qloci.factorization import window_grids
 from qloci.perms import PartialPermutation, Perm
 from qloci.pipedreams import PipeDream, enum_pipes, enum_rpipes
@@ -42,6 +44,11 @@ SMALL_QUIVERS = [
     for dy in itertools.product((1, 2), repeat=n + 1)
     for dx in itertools.product((1, 2), repeat=n)
 ]
+
+
+def test_doctests():
+    failed, _ = doctest.testmod(quiver_mod)
+    assert failed == 0
 
 
 def test_quiver_validation():
