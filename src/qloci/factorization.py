@@ -11,9 +11,8 @@ orbit permutation exactly for the tuples of the set X of the orbit.
 from __future__ import annotations
 
 import math
-from functools import partial
 
-from .lacing import _closure, pi, pipes_to_laces, seqperm_neighbors
+from .lacing import _move_closure, pi, pipes_to_laces
 from .perms import Perm, all_perms
 from .pipedreams import CapacityError, enum_pipes, enum_rpipes
 from .quiver import block_layout, zelevinsky
@@ -142,14 +141,9 @@ def nw_dreams(quiver, orbit, reduced=False):
 
     The orbit keeps each list from the first call on.
     """
-    return orbit.derived(quiver, "_rdreams" if reduced else "_dreams",
-                         partial(_enumerate_nw, reduced=reduced))
-
-
-def _enumerate_nw(quiver, orbit, reduced):
     enum = enum_rpipes if reduced else enum_pipes
-    forced = block_layout(quiver).p_star
-    return tuple(enum(zelevinsky(quiver, orbit), quiver.d_y, quiver.d_x, forced=forced))
+    return orbit.derived(quiver, "_rdreams" if reduced else "_dreams", lambda q, o: tuple(
+        enum(zelevinsky(q, o), q.d_y, q.d_x, forced=block_layout(q).p_star)))
 
 
 def x_omega(quiver, orbit):
@@ -181,7 +175,7 @@ def x_omega_by_factorization(quiver, orbit, limit=TUPLE_LIMIT):
 
 def seqperm_closure(quiver, seeds):
     """Closure of a set of completed tuples under the pattern exchanges."""
-    return _closure(seeds, partial(seqperm_neighbors, quiver, ktheory=True))
+    return _move_closure(quiver, seeds, ktheory=True, diagrams=False)
 
 
 def pipe_fibers(quiver, orbit, reduced=False):

@@ -5,7 +5,9 @@ A lacing diagram for an n-arrow-pair quiver is a tuple
 w_k has shape d(y_k) x d(x_k) (beta_k, pointing right) and w^k has
 shape d(y_{k-1}) x d(x_k) (alpha_k, pointing left).  Completing every
 component gives the extended diagram, a tuple of honest permutations;
-moves act there, never on the raw matrices.
+moves act there, never on the raw matrices.  One closure over completed
+tuples serves W, KW and the tuple closure of the factorization checks;
+a diagram is read back off each member once, at the end.
 
 Loops over the arrows walk the block layout's windows, kept in this order.
 
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import logging
-from functools import partial
 
 from .perms import PartialPermutation, Perm, all_partial_perms
 from .pipedreams import PipeDream, iter_dreams
@@ -127,13 +128,11 @@ def _geometry(w):
     """
     _check_chain(w)
     edges = []
-    for g, mat in enumerate(w):
+    for g, (mat, u) in enumerate(zip(w, extend(w))):
         m = mat.rows + mat.cols - mat.rank
         if g % 2 == 0:
-            u = mat.complete()
             edges.extend((g, p, u(p)) for p in range(1, m + 1))
         else:
-            u = mat.rot().complete()
             R, C = mat.rows, mat.cols
             edges.extend((g, C + 1 - u(p), R + 1 - p) for p in range(1, m + 1))
     return edges
@@ -304,29 +303,38 @@ def seqperm_neighbors(quiver, v, ktheory=True):
     return {moved for _site, _ok, moved in _moves(quiver, tuple(v), ktheory)}
 
 
-def _diagram_step(quiver, w, ktheory):
-    out = set()
-    for site, ok, moved in _moves(quiver, extend(w), ktheory):
-        if not ok:
-            log.warning("move at site %r dropped: every outer dot is virtual", (site,))
-            continue
-        w2 = truncate(quiver, moved)
-        if extend(w2) != moved:
-            log.warning("move at site %r dropped: result is not a completed diagram", (site,))
-            continue
-        out.add(w2)
-    return out
+def _is_completed(u, shape):
+    """Whether u is the completion of its northwest R x C part.
+
+    Its values above C in rows 1..R read C+1, C+2, ... from the top, and
+    its values from row R+1 on increase.
+    """
+    R, C = shape
+    high = [x for x in u.window[:R] if x > C]
+    tail = u.window[R:]
+    return high == list(range(C + 1, C + 1 + len(high))) and all(
+        a < b for a, b in zip(tail, tail[1:])
+    )
 
 
-def _closure(seeds, step):
-    """Everything reachable from the seeds by repeated steps."""
+def _move_closure(quiver, seeds, ktheory, diagrams):
+    """Every completed tuple reachable from the seeds by moves.
+
+    With `diagrams`, a move is kept only when it leaves a real dot in
+    each outer column and its result is again a completed diagram.
+    """
+    shapes = [(len(rows), len(cols)) for rows, cols in block_layout(quiver).windows]
     seen = set(seeds)
     queue = list(seen)
     while queue:
-        for w2 in step(queue.pop()):
-            if w2 not in seen:
-                seen.add(w2)
-                queue.append(w2)
+        for site, ok, moved in _moves(quiver, queue.pop(), ktheory):
+            if diagrams and not ok:
+                log.warning("move at site %r dropped: every outer dot is virtual", (site,))
+            elif diagrams and not all(map(_is_completed, moved, shapes)):
+                log.warning("move at site %r dropped: result is not a completed diagram", (site,))
+            elif moved not in seen:
+                seen.add(moved)
+                queue.append(moved)
     return frozenset(seen)
 
 
@@ -336,8 +344,8 @@ def _closure(seeds, step):
 def enum_W(quiver, orbit):
     """Minimal diagrams of the orbit, as a reduced-move closure.
 
-    The seed is the diagram of the first reduced northwest dream for
-    v(orbit) that the pipe-dream walk reaches; enum_W_by_filter
+    The seed is the completed tuple pi(P) of the first reduced northwest
+    dream P for v(orbit) that the pipe-dream walk reaches; enum_W_by_filter
     recomputes the set without moves.  The orbit keeps the set from the
     first call on.
     """
@@ -350,8 +358,8 @@ def _minimal_closure(quiver, orbit):
     dream = next(iter_dreams(v_om, quiver.d_y, quiver.d_x, forced=layout.p_star), None)
     if dream is None:
         raise OrbitError("no reduced northwest dream reaches the orbit permutation")
-    seed = pipes_to_laces(quiver, dream)
-    return _closure({seed}, partial(_diagram_step, quiver, ktheory=False))
+    closure = _move_closure(quiver, {pi(quiver, dream)}, ktheory=False, diagrams=True)
+    return frozenset(truncate(quiver, v) for v in closure)
 
 
 def enum_W_by_filter(quiver, orbit):
@@ -367,9 +375,16 @@ def enum_KW(quiver, orbit):
     """K-theoretic closure of the minimal diagrams.
 
     Members beyond enum_W may carry different lace data; only the set is
-    attached to the orbit, not each diagram.
+    attached to the orbit, not each diagram.  The orbit keeps the set
+    from the first call on, as it keeps W.
     """
-    return _closure(enum_W(quiver, orbit), partial(_diagram_step, quiver, ktheory=True))
+    return orbit.derived(quiver, "_kw", _k_closure)
+
+
+def _k_closure(quiver, orbit):
+    seeds = {extend(w) for w in enum_W(quiver, orbit)}
+    closure = _move_closure(quiver, seeds, ktheory=True, diagrams=True)
+    return frozenset(truncate(quiver, v) for v in closure)
 
 
 def all_diagrams(quiver):

@@ -77,11 +77,6 @@ class Perm:
         return cls(tuple(range(1, i)) + (i + 1, i))
 
     @classmethod
-    def longest(cls, m: int) -> "Perm":
-        """w0 in S_m, one-line (m, m-1, ..., 1)."""
-        return cls(tuple(range(m, 0, -1)))
-
-    @classmethod
     def from_word(cls, word: Iterable[int]) -> "Perm":
         """0-Hecke evaluation of a generator word, folding left to right.
 
@@ -134,11 +129,6 @@ class Perm:
             inv[v - 1] = p
         return Perm(inv)
 
-    def __mul__(self, other: "Perm") -> "Perm":
-        """Composition: (self * other)(i) = self(other(i))."""
-        m = max(self.size, other.size)
-        return Perm(tuple(self(other(i)) for i in range(1, m + 1)))
-
     def times_tau(self, i: int) -> "Perm":
         """self * tau_i: swaps the entries in positions i and i+1."""
         m = max(self.size, i + 1)
@@ -185,21 +175,7 @@ class Perm:
         letters.reverse()
         return tuple(letters)
 
-    # --- embeddings and symmetries ------------------------------------
-
-    def shifted(self, m: int) -> "Perm":
-        """The permutation 1^m x self: fixes 1..m, sends m+i to self(i)+m."""
-        return Perm(tuple(range(1, m + 1)) + tuple(v + m for v in self.window))
-
-    def rotated(self, m: int) -> "Perm":
-        """w0 * self * w0 inside S_m (the 180-degree matrix rotation).
-
-        >>> Perm.tau(1).rotated(3) == Perm.tau(2)
-        True
-        """
-        if m < self.size:
-            raise ValueError(f"window of size {self.size} does not fit in {m}")
-        return Perm(tuple(m + 1 - self(m + 1 - p) for p in range(1, m + 1)))
+    # --- order and truncation -----------------------------------------
 
     def bruhat_leq(self, other: "Perm") -> bool:
         """Strong Bruhat order via the dominance criterion on rank tables."""

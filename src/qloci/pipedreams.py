@@ -123,9 +123,6 @@ class PipeDream:
                     word.append(r + c - 1)
         return Perm.from_word(word)
 
-    def is_reduced(self):
-        return len(self.crosses) == self.demazure().length()
-
     # --- pipe tracing --------------------------------------------------
 
     def _route(self, crosses):

@@ -116,9 +116,6 @@ class LaurentPoly:
             out = out * p
         return out
 
-    def is_zero(self):
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 

@@ -187,11 +187,11 @@ class OrbitData:
 
     Vertex saturation must hold: the laces whose span covers a vertex z,
     endpoints included, number exactly dim(z).  The orbit keeps v(orbit),
-    its minimal diagrams W and its reduced and full northwest dream lists
-    once computed; none of them enters == or hash.
+    its minimal diagrams W and K-theoretic diagrams KW, and its reduced and
+    full northwest dream lists once computed; none of them enters == or hash.
     """
 
-    __slots__ = ("quiver", "laces", "_v", "_w", "_rdreams", "_dreams")
+    __slots__ = ("quiver", "laces", "_v", "_w", "_kw", "_rdreams", "_dreams")
 
     def __init__(self, quiver, laces):
         ends = quiver.vertices()
@@ -208,7 +208,7 @@ class OrbitData:
                 clean[(left, right)] = int(mult)
         object.__setattr__(self, "quiver", quiver)
         object.__setattr__(self, "laces", clean)
-        for slot in ("_v", "_w", "_rdreams", "_dreams"):
+        for slot in ("_v", "_w", "_kw", "_rdreams", "_dreams"):
             object.__setattr__(self, slot, None)
         for z in ends:
             have = self.laces_through(z)

@@ -97,6 +97,16 @@ def _dense(quiver, ys, xs):
     return PipeDream(quiver.d, quiver.d, cells).demazure()
 
 
+def _shifted(v, m):
+    """1^m x v: fixes 1..m and sends m+i to v(i)+m."""
+    return Perm(tuple(range(1, m + 1)) + tuple(x + m for x in v.window))
+
+
+def _rotated(v, m):
+    """w0 v w0 inside S_m: the matrix of v turned half a revolution."""
+    return Perm(tuple(m + 1 - v(m + 1 - p) for p in range(1, m + 1)))
+
+
 def _hecke_reference(quiver, v):
     """Row and column products folded factor by factor with Perm.hecke, each dense region whole."""
     n = quiver.n
@@ -106,8 +116,8 @@ def _hecke_reference(quiver, v):
         tail = sum(quiver.dx[k:])
         a, b = tail + sum(quiver.dy[:k - 1]), tail + sum(quiver.dy[:k])
         m = quiver.dim("y%d" % (k - 1)) + quiver.dim("x%d" % k)
-        alpha = v[2 * (n - k) + 1].inverse().rotated(m).shifted(a)
-        beta = v[2 * (n - k)].shifted(b)
+        alpha = _shifted(_rotated(v[2 * (n - k) + 1].inverse(), m), a)
+        beta = _shifted(v[2 * (n - k)], b)
         for factor in (
             _dense(quiver, range(k - 1), [k]),
             alpha,
@@ -239,7 +249,7 @@ def test_reduced_dreams_fiber_over_W(run_quiver, run_orbit):
     for w, dreams in fibers.items():
         assert dreams
         for P in dreams:
-            assert all(m.is_reduced() for m in mini_dreams(run_quiver, P))
+            assert all(len(m) == m.demazure().length() for m in mini_dreams(run_quiver, P))
             assert pi(run_quiver, P) == extend(w)
 
 
@@ -292,7 +302,7 @@ def test_boundary_monotonicity():
             for v in x_omega(quiver, orbit):
                 for j in range(1, dy_top):
                     assert v[0](j) < v[0](j + 1)
-                rot = v[-1].rotated(dy_low + dx_low)
+                rot = _rotated(v[-1], dy_low + dx_low)
                 for j in range(dx_low + 1, dx_low + dy_low):
                     assert rot(j) < rot(j + 1)
 

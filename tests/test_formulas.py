@@ -70,7 +70,7 @@ def test_grothendieck_longest_is_a_plain_product():
         cross_weight(rows[r - 1], cols[c - 1], "ktheory")
         for r, c in [(1, 1), (1, 2), (2, 1)]
     )
-    assert grothendieck(Perm.longest(3), rows, cols) == expected
+    assert grothendieck(Perm((3, 2, 1)), rows, cols) == expected
 
 
 def test_grothendieck_inclusion_exclusion():

@@ -2,6 +2,7 @@
 
 import doctest
 import itertools
+import logging
 
 from conftest import (
     P_NONREDUCED,
@@ -35,7 +36,7 @@ from qloci.lacing import (
     seqperm_neighbors,
     truncate,
 )
-from qloci.perms import PartialPermutation, Perm
+from qloci.perms import PartialPermutation, Perm, all_perms
 from qloci.pipedreams import PipeDream, enum_rpipes
 from qloci.quiver import (
     BipartiteQuiver,
@@ -276,6 +277,67 @@ def test_identities_admit_no_moves(run_quiver):
     assert seqperm_neighbors(run_quiver, ID4, ktheory=False) == set()
 
 
+def test_one_line_completion_test_matches_truncate_and_complete():
+    for R, C in itertools.product(range(4), repeat=2):
+        for u in all_perms(R + C):
+            assert lacing_mod._is_completed(u, (R, C)) == (u.nw_partial(R, C).complete() == u)
+
+
+_VIRTUAL = "move at site %r dropped: every outer dot is virtual"
+_INCOMPLETE = "move at site %r dropped: result is not a completed diagram"
+
+
+def _round_trip_step(quiver, w, ktheory, drops):
+    """One diagram step by the round trip: truncate each moved tuple, extend it, compare."""
+    out = set()
+    for site, ok, moved in lacing_mod._moves(quiver, extend(w), ktheory):
+        if not ok:
+            drops.append(_VIRTUAL % ((site,),))
+            continue
+        w2 = truncate(quiver, moved)
+        if extend(w2) != moved:
+            drops.append(_INCOMPLETE % ((site,),))
+            continue
+        out.add(w2)
+    return out
+
+
+def _round_trip_closure(quiver, seed, ktheory, drops):
+    seen, queue = {seed}, [seed]
+    while queue:
+        for w2 in _round_trip_step(quiver, queue.pop(), ktheory, drops):
+            if w2 not in seen:
+                seen.add(w2)
+                queue.append(w2)
+    return seen
+
+
+def test_move_closure_matches_the_round_trip_and_logs_its_drops(caplog, monkeypatch):
+    caplog.set_level(logging.WARNING, logger=lacing_mod.__name__)
+    every_drop = []
+    for quiver in (TINY, FORK, BRIDGE):
+        for w in all_diagrams(quiver):
+            for ktheory in (False, True):
+                drops = []
+                expected = _round_trip_closure(quiver, w, ktheory, drops)
+                caplog.clear()
+                got = lacing_mod._move_closure(quiver, {extend(w)}, ktheory, diagrams=True)
+                assert {truncate(quiver, v) for v in got} == expected
+                assert sorted(r.getMessage() for r in caplog.records) == sorted(drops)
+                every_drop.extend(drops)
+    # these seeds drop moves, each for a virtual outer dot
+    assert every_drop and all(m.endswith("virtual") for m in every_drop)
+    # a move that keeps a real outer dot never leaves the completed tuples,
+    # so a stand-in move shows the second drop
+    seed = extend((PartialPermutation([[0]]), PartialPermutation([[0]])))
+    stray = (Perm((1, 3, 2)), seed[1])
+    monkeypatch.setattr(lacing_mod, "_moves", lambda q, v, k: [((1, 1, 1), True, stray)])
+    caplog.clear()
+    assert lacing_mod._move_closure(TINY, {seed}, True, diagrams=True) == {seed}
+    assert [r.getMessage() for r in caplog.records] == [_INCOMPLETE % (((1, 1, 1),),)]
+    assert lacing_mod._move_closure(TINY, {seed}, True, diagrams=False) == {seed, stray}
+
+
 # --- W and KW ----------------------------------------------------------
 
 
@@ -321,6 +383,10 @@ def test_enum_W_zero_orbit_of_the_smallest_quiver():
     assert enum_W_by_filter(TINY, orbit) == frozenset({bare})
     # no move sites at all when every dimension is 1
     assert enum_KW(TINY, orbit) == frozenset({bare})
+    # the orbit keeps KW as it keeps W
+    assert enum_KW(TINY, orbit) is enum_KW(TINY, orbit)
+    with pytest.raises(OrbitError):
+        enum_KW(FORK, orbit)
 
 
 def test_enum_W_matches_filter_on_every_small_orbit():
@@ -335,6 +401,8 @@ def test_enum_W_matches_filter_on_every_small_orbit():
                 forced=layout.p_star,
             )
             assert {pipes_to_laces(quiver, P) for P in dreams} == set(W)
+            for P in dreams:
+                assert pi(quiver, P) == extend(pipes_to_laces(quiver, P))
 
 
 def test_enum_KW_running_example(run_quiver, run_orbit):

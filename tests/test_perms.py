@@ -15,6 +15,17 @@ def fold(word):
     return Perm.from_word(word)
 
 
+def compose(u, v):
+    """(u v)(i) = u(v(i))."""
+    m = max(u.size, v.size)
+    return Perm(tuple(u(v(i)) for i in range(1, m + 1)))
+
+
+def rot_perm(v, m):
+    """w0 v w0 inside S_m, by turning v's m x m matrix half a revolution."""
+    return PartialPermutation(v.matrix(m)).rot().complete()
+
+
 def all_partial_perms(rows, cols):
     """Every 0/1 matrix with at most one 1 per row and column."""
     cells = [(r, c) for r in range(1, rows + 1) for c in range(1, cols + 1)]
@@ -41,22 +52,19 @@ def test_doctests():
 def test_length_examples():
     assert Perm((1, 2, 3, 4, 5)).length() == 0
     assert Perm((4, 1, 2, 3, 6, 7, 5, 10, 11, 8, 9)).length() == 9
-    assert Perm.longest(4).length() == 6
-    assert Perm.longest(4) == Perm((4, 3, 2, 1))
-    assert Perm.longest(1) == Perm.identity()
-    assert Perm.longest(2) == Perm((2, 1))
+    assert Perm((4, 3, 2, 1)).length() == 6
 
 
 def test_rot_preserves_length_exhaustive_s4():
     for v in all_perms(4):
-        assert v.rotated(4).length() == v.length()
+        assert rot_perm(v, 4).length() == v.length()
 
 
 @given(perm_strategy, st.integers(0, 3))
 def test_rot_preserves_length_random(v, pad):
     m = v.size + pad
-    assert v.rotated(m).length() == v.length()
-    assert v.rotated(m).rotated(m) == v
+    assert rot_perm(v, m).length() == v.length()
+    assert rot_perm(rot_perm(v, m), m) == v
 
 
 # --- completions -------------------------------------------------------
@@ -159,30 +167,18 @@ def test_fold_length_never_exceeds_word(word):
         assert v.demazure_mul(i) == v
 
 
-# --- embeddings --------------------------------------------------------
-
-
-def test_shifted_examples():
-    v = Perm((3, 1, 2))
-    assert v.shifted(0) == v
-    assert Perm.tau(1).shifted(2) == Perm.tau(3)
-    assert v.shifted(1) == Perm((1, 4, 2, 3))
-
-
-def test_shifted_is_homomorphism():
-    for u, v in itertools.product(all_perms(3), repeat=2):
-        assert (u * v).shifted(2) == u.shifted(2) * v.shifted(2)
+# --- rotation and inverse ---------------------------------------------
 
 
 def test_rotated_conjugates_generators():
     for m in range(2, 6):
         for k in range(1, m):
-            assert Perm.tau(k).rotated(m) == Perm.tau(m - k)
+            assert rot_perm(Perm.tau(k), m) == Perm.tau(m - k)
 
 
 def test_compose_and_inverse():
     for v in all_perms(4):
-        assert v * v.inverse() == Perm.identity()
+        assert compose(v, v.inverse()) == Perm.identity()
         assert v.inverse().inverse() == v
         assert v.inverse().length() == v.length()
 
